@@ -578,7 +578,8 @@ impl DeviceVgg {
     /// Returns [`TensorError::InvalidArgument`] when the length doesn't
     /// match the deployment's crossbar layer count or any count doesn't
     /// yield a valid `PlaThermometer` for the deployment's activation
-    /// grid.
+    /// grid — zero, or more than
+    /// [`MAX_UNARY_PULSES`](membit_encoding::MAX_UNARY_PULSES).
     pub fn reconfigure_encoding(&mut self, pulses: &[usize]) -> Result<()> {
         let expected = self.encoding().len();
         if pulses.len() != expected {
@@ -918,6 +919,32 @@ mod tests {
         if report.cells_corrected > 0 {
             assert!(stats.guard.saf_corrections > 0, "{:?}", stats.guard);
         }
+    }
+
+    #[test]
+    fn reconfigure_encoding_refuses_unstorable_counts_atomically() {
+        use membit_encoding::MAX_UNARY_PULSES;
+        let (vgg, params) = tiny_vgg();
+        let mut rng = Rng::from_seed(29);
+        let cfg = DeviceEvalConfig {
+            xbar: XbarConfig::ideal(),
+            pulses: vec![8, 8, 8],
+            act_levels: 9,
+            policy: DeploymentPolicy::default(),
+        };
+        let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
+        // one count past the widest storable code: refused, nothing applied
+        assert!(device
+            .reconfigure_encoding(&[6, MAX_UNARY_PULSES + 1, 10])
+            .is_err());
+        assert_eq!(device.encoding(), vec![8, 8, 8]);
+        assert!(device.reconfigure_encoding(&[6, 0, 10]).is_err());
+        assert_eq!(device.encoding(), vec![8, 8, 8]);
+        // the widest storable code itself is accepted
+        device
+            .reconfigure_encoding(&[6, MAX_UNARY_PULSES, 10])
+            .unwrap();
+        assert_eq!(device.encoding(), vec![6, MAX_UNARY_PULSES, 10]);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! introduces a bounded representation error which the paper reports (and
 //! we verify) to be negligible.
 
-use membit_tensor::{Tensor, TensorError};
+use std::cmp::Ordering;
 
-use crate::schemes::{level_index, Thermometer};
-use crate::train::PulseTrain;
+use membit_tensor::TensorError;
+
+use crate::schemes::{check_finite, level_index};
+use crate::train::{PulseTrain, MAX_UNARY_PULSES};
 use crate::{BitEncoder, Result};
 
 /// A thermometer code re-expressed at an arbitrary pulse count.
@@ -34,18 +36,22 @@ impl PlaThermometer {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for `levels < 2` or zero
-    /// pulses.
+    /// Returns [`TensorError::InvalidArgument`] for zero pulses or more
+    /// than [`MAX_UNARY_PULSES`] (the widest count a nested-unary
+    /// [`PulseTrain`] stores), and for `levels` outside
+    /// `2..=MAX_UNARY_PULSES + 1` (the levels of the longest base
+    /// thermometer code).
     pub fn new(levels: usize, pulses: usize) -> Result<Self> {
-        if levels < 2 {
-            return Err(TensorError::InvalidArgument(
-                "PLA needs ≥ 2 source levels".into(),
-            ));
+        if !(2..=MAX_UNARY_PULSES + 1).contains(&levels) {
+            return Err(TensorError::InvalidArgument(format!(
+                "PLA needs 2..={} source levels, got {levels}",
+                MAX_UNARY_PULSES + 1
+            )));
         }
-        if pulses == 0 {
-            return Err(TensorError::InvalidArgument(
-                "PLA needs ≥ 1 output pulse".into(),
-            ));
+        if pulses == 0 || pulses > MAX_UNARY_PULSES {
+            return Err(TensorError::InvalidArgument(format!(
+                "PLA emits 1..={MAX_UNARY_PULSES} pulses, got {pulses}"
+            )));
         }
         Ok(Self { levels, pulses })
     }
@@ -70,21 +76,29 @@ impl PlaThermometer {
     /// round-half-away-from-zero would shift every tied level toward +1
     /// and visibly corrupt the batch-norm statistics downstream.
     pub fn high_count(&self, value: f32) -> usize {
-        let frac = level_index(value, self.levels) as f32 / (self.levels - 1) as f32;
+        let sign = value.partial_cmp(&0.0).unwrap_or(Ordering::Equal);
+        self.count_at(level_index(value, self.levels), sign)
+    }
+
+    /// [`high_count`](Self::high_count) of a value on source level
+    /// `level` whose sign relative to zero is `sign`: the sign only
+    /// decides exact ties.
+    fn count_at(&self, level: usize, sign: Ordering) -> usize {
+        let frac = level as f32 / (self.levels - 1) as f32;
         let t = frac * self.pulses as f32;
         let is_tie = (t - t.floor() - 0.5).abs() < 1e-4;
         let high = if is_tie {
-            if value > 0.0 {
-                t.ceil()
-            } else if value < 0.0 {
-                t.floor()
-            } else {
-                // dead-center value: round half to even
-                let fl = t.floor();
-                if (fl as i64) % 2 == 0 {
-                    fl
-                } else {
-                    t.ceil()
+            match sign {
+                Ordering::Greater => t.ceil(),
+                Ordering::Less => t.floor(),
+                Ordering::Equal => {
+                    // dead-center value: round half to even
+                    let fl = t.floor();
+                    if (fl as i64) % 2 == 0 {
+                        fl
+                    } else {
+                        t.ceil()
+                    }
                 }
             }
         } else {
@@ -133,16 +147,12 @@ impl BitEncoder for PlaThermometer {
         1.0
     }
 
-    fn emits_nested_unary(&self) -> bool {
-        true
+    fn high_count_at(&self, level: usize, sign: Ordering) -> Option<usize> {
+        Some(self.count_at(level, sign))
     }
 
     fn encode_value(&self, value: f32) -> Result<Vec<f32>> {
-        if !value.is_finite() {
-            return Err(TensorError::InvalidArgument(format!(
-                "cannot encode non-finite value {value}"
-            )));
-        }
+        check_finite(value)?;
         let high = self.high_count(value);
         Ok((0..self.pulses)
             .map(|i| if i < high { 1.0 } else { -1.0 })
@@ -152,7 +162,8 @@ impl BitEncoder for PlaThermometer {
 
 /// Re-expresses an existing base thermometer [`PulseTrain`] at pulse count
 /// `q` by adding/removing pulses toward saturation — the hardware-level
-/// view of PLA.
+/// view of PLA. Equal to [`PlaThermometer::encode_tensor`] (with the base
+/// code's `p + 1` levels) applied to the train's decoded values.
 ///
 /// # Errors
 ///
@@ -165,25 +176,14 @@ pub fn approximate_train(train: &PulseTrain, q: usize) -> Result<PulseTrain> {
             "PLA applies to unit-weight (thermometer) trains only".into(),
         ));
     }
-    let p = train.num_pulses();
-    let base = Thermometer::new(p)?;
-    let target = PlaThermometer::new(p + 1, q)?;
-    // decode each element's high count, re-encode at q pulses
-    let decoded = train.decode()?;
-    let mut pulses = vec![Tensor::zeros(decoded.shape()); q];
-    for (flat, &v) in decoded.as_slice().iter().enumerate() {
-        debug_assert!(base.high_count(v) <= p);
-        let code = target.encode_value(v)?;
-        for (i, &bit) in code.iter().enumerate() {
-            pulses[i].as_mut_slice()[flat] = bit;
-        }
-    }
-    PulseTrain::nested_unary(pulses)
+    PlaThermometer::new(train.num_pulses() + 1, q)?.encode_tensor(&train.decode()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Thermometer;
+    use membit_tensor::Tensor;
 
     #[test]
     fn integer_multiples_are_exact() {

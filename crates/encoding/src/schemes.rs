@@ -1,8 +1,10 @@
 //! The bit-encoding schemes compared by the paper.
 
+use std::cmp::Ordering;
+
 use membit_tensor::{Tensor, TensorError};
 
-use crate::train::PulseTrain;
+use crate::train::{PulseTrain, MAX_UNARY_PULSES};
 use crate::Result;
 
 /// A scheme for converting a quantized activation in `[-1, 1]` into a
@@ -67,29 +69,50 @@ pub trait BitEncoder {
         sq / (norm * norm) * sigma2
     }
 
-    /// Whether this encoder's trains are nested unary codes
-    /// ([`TrainKind::NestedUnary`](crate::TrainKind::NestedUnary)):
-    /// unit-weight pulses where each element runs `+1…+1, −1…−1`.
-    /// Thermometer-family encoders override this so
-    /// [`encode_tensor`](Self::encode_tensor) tags their trains and
-    /// execution engines can use the incremental pulse-delta fast path.
-    fn emits_nested_unary(&self) -> bool {
-        false
+    /// The nested-unary count hook: the number of leading `+1` pulses
+    /// that encode a value whose nearest of the
+    /// [`num_levels`](Self::num_levels) uniform levels in `[-1, 1]` is
+    /// `level` and whose sign relative to zero is `sign` (`-0.0` and
+    /// `+0.0` are both [`Ordering::Equal`]).
+    ///
+    /// Thermometer-family encoders implement it; for them
+    /// [`encode_tensor`](Self::encode_tensor) tabulates it once per call
+    /// and emits count-backed [`TrainKind::NestedUnary`](crate::TrainKind::NestedUnary)
+    /// trains, which execution engines run with the incremental
+    /// pulse-delta schedule. `None` (the default) marks an encoder whose
+    /// codes are not nested unary.
+    fn high_count_at(&self, _level: usize, _sign: Ordering) -> Option<usize> {
+        None
     }
 
     /// Encodes a whole activation tensor (any shape) into a
-    /// [`PulseTrain`]: one ±1 tensor per pulse plus the weights. Trains
-    /// from encoders with [`emits_nested_unary`](Self::emits_nested_unary)
-    /// are built through [`PulseTrain::nested_unary`] and carry its tag.
+    /// [`PulseTrain`]. Encoders with a
+    /// [`high_count_at`](Self::high_count_at) hook store one high count
+    /// per element — one table lookup per value, indexed by level and
+    /// sign; every other encoder gets one ±1 tensor per pulse plus the
+    /// weights.
     ///
     /// # Errors
     ///
-    /// Propagates per-value encoding errors.
+    /// Propagates per-value encoding errors (non-finite input), and
+    /// returns [`TensorError::InvalidArgument`] when an encoder with a
+    /// count hook has zero or more than [`MAX_UNARY_PULSES`] pulses, or
+    /// its hook yields a count beyond them.
     fn encode_tensor(&self, values: &Tensor) -> Result<PulseTrain>
     where
         Self: Sized,
     {
         let p = self.num_pulses();
+        if let Some(table) = high_count_table(self)? {
+            let levels = self.num_levels();
+            let mut counts = Vec::with_capacity(values.len());
+            for &v in values.as_slice() {
+                check_finite(v)?;
+                let sign = usize::from(v >= 0.0) + usize::from(v > 0.0);
+                counts.push(table[3 * level_index(v, levels) + sign]);
+            }
+            return Ok(PulseTrain::from_high_counts(values.shape(), p, counts));
+        }
         let mut pulses = vec![Tensor::zeros(values.shape()); p];
         for (flat, &v) in values.as_slice().iter().enumerate() {
             let code = self.encode_value(v)?;
@@ -97,15 +120,42 @@ pub trait BitEncoder {
                 pulses[i].as_mut_slice()[flat] = bit;
             }
         }
-        if self.emits_nested_unary() {
-            return PulseTrain::nested_unary(pulses);
-        }
         let weights = (0..p).map(|i| self.pulse_weight(i)).collect();
         PulseTrain::new(pulses, weights)
     }
 }
 
-fn check_finite(value: f32) -> Result<()> {
+/// Tabulates `enc`'s [count hook](BitEncoder::high_count_at) as
+/// `table[3·level + sign]`, sign `0/1/2` for `< 0 / == 0 / > 0`; `None`
+/// for an encoder without one.
+fn high_count_table<E: BitEncoder + ?Sized>(enc: &E) -> Result<Option<Vec<u16>>> {
+    if enc.high_count_at(0, Ordering::Equal).is_none() {
+        return Ok(None);
+    }
+    let p = enc.num_pulses();
+    if p == 0 || p > MAX_UNARY_PULSES {
+        return Err(TensorError::InvalidArgument(format!(
+            "nested unary codes carry 1..={MAX_UNARY_PULSES} pulses, got {p}"
+        )));
+    }
+    let mut table = Vec::with_capacity(3 * enc.num_levels());
+    for level in 0..enc.num_levels() {
+        for sign in [Ordering::Less, Ordering::Equal, Ordering::Greater] {
+            match enc.high_count_at(level, sign) {
+                // p ≤ MAX_UNARY_PULSES, so the count fits
+                Some(c) if c <= p => table.push(c as u16),
+                c => {
+                    return Err(TensorError::InvalidArgument(format!(
+                        "count hook gave {c:?} at level {level} for a {p}-pulse code"
+                    )))
+                }
+            }
+        }
+    }
+    Ok(Some(table))
+}
+
+pub(crate) fn check_finite(value: f32) -> Result<()> {
     if value.is_finite() {
         Ok(())
     } else {
@@ -135,12 +185,14 @@ impl Thermometer {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] for zero pulses.
+    /// Returns [`TensorError::InvalidArgument`] for zero pulses or more
+    /// than [`MAX_UNARY_PULSES`] (the widest count a nested-unary
+    /// [`PulseTrain`] stores).
     pub fn new(pulses: usize) -> Result<Self> {
-        if pulses == 0 {
-            return Err(TensorError::InvalidArgument(
-                "thermometer code needs ≥ 1 pulse".into(),
-            ));
+        if pulses == 0 || pulses > MAX_UNARY_PULSES {
+            return Err(TensorError::InvalidArgument(format!(
+                "thermometer codes carry 1..={MAX_UNARY_PULSES} pulses, got {pulses}"
+            )));
         }
         Ok(Self { pulses })
     }
@@ -164,8 +216,8 @@ impl BitEncoder for Thermometer {
         1.0
     }
 
-    fn emits_nested_unary(&self) -> bool {
-        true
+    fn high_count_at(&self, level: usize, _sign: Ordering) -> Option<usize> {
+        Some(level)
     }
 
     fn encode_value(&self, value: f32) -> Result<Vec<f32>> {

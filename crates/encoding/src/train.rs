@@ -1,6 +1,8 @@
 //! Pulse trains: the temporal sequence of binary input vectors a crossbar
 //! consumes.
 
+use std::sync::OnceLock;
+
 use membit_tensor::{Tensor, TensorError};
 
 use crate::Result;
@@ -16,8 +18,23 @@ pub enum TrainKind {
     /// (`+1…+1, −1…−1`), so each element switches `+1 → −1` at most once.
     /// Thermometer/unary codes have exactly this shape (paper Eq. 3),
     /// which lets an engine evaluate pulse `t+1` as a sparse delta on
-    /// pulse `t`.
+    /// pulse `t`. Such trains are stored as one high count per element
+    /// (see [`PulseTrain::high_counts`]).
     NestedUnary,
+}
+
+/// Largest pulse count a [nested-unary](TrainKind::NestedUnary) train can
+/// carry: its per-element high counts are stored as `u16`. The
+/// thermometer-family encoders reject longer codes at construction.
+pub const MAX_UNARY_PULSES: usize = u16::MAX as usize;
+
+/// How a train stores its pulses.
+#[derive(Debug, Clone, PartialEq)]
+enum Repr {
+    /// One tensor per pulse.
+    Dense(Vec<Tensor>),
+    /// Nested unary: per element, its number of leading `+1` pulses.
+    Counts { shape: Vec<usize>, counts: Vec<u16> },
 }
 
 /// A sequence of same-shaped ±1 pulse tensors plus their accumulation
@@ -26,11 +43,25 @@ pub enum TrainKind {
 /// For thermometer coding all weights are 1; for bit slicing they are
 /// `2^i`. The decoded value is `Σ w_i·x_i / Σ w_i`, and a crossbar
 /// executes one analog MVM per pulse.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A [nested-unary](TrainKind::NestedUnary) train stores only its shape,
+/// its pulse count and one high count per element — pulse `i` drives
+/// `+1` exactly where `i < count`. [`pulses`](Self::pulses) and
+/// [`iter`](Self::iter) are views: on such a train the dense pulse
+/// tensors are materialized once, on first call, and cached.
+#[derive(Debug, Clone)]
 pub struct PulseTrain {
-    pulses: Vec<Tensor>,
+    repr: Repr,
     weights: Vec<f32>,
-    kind: TrainKind,
+    /// Dense view of a count-backed train, built on first request.
+    dense: OnceLock<Vec<Tensor>>,
+}
+
+impl PartialEq for PulseTrain {
+    fn eq(&self, other: &Self) -> bool {
+        // the cached dense view is derived state, not identity
+        self.repr == other.repr && self.weights == other.weights
+    }
 }
 
 impl PulseTrain {
@@ -41,83 +72,122 @@ impl PulseTrain {
     /// Returns [`TensorError::InvalidArgument`] for an empty train, a
     /// weight-count mismatch, or inconsistent pulse shapes.
     pub fn new(pulses: Vec<Tensor>, weights: Vec<f32>) -> Result<Self> {
-        if pulses.is_empty() {
-            return Err(TensorError::InvalidArgument(
-                "pulse train cannot be empty".into(),
-            ));
-        }
-        if pulses.len() != weights.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "{} pulses but {} weights",
-                pulses.len(),
-                weights.len()
-            )));
-        }
-        let shape = pulses[0].shape().to_vec();
-        if let Some(bad) = pulses.iter().find(|p| p.shape() != shape) {
-            return Err(TensorError::ShapeMismatch {
-                op: "pulse train",
-                lhs: shape,
-                rhs: bad.shape().to_vec(),
-            });
-        }
+        check_dense(&pulses, weights.len())?;
         Ok(Self {
-            pulses,
+            repr: Repr::Dense(pulses),
             weights,
-            kind: TrainKind::Generic,
+            dense: OnceLock::new(),
         })
     }
 
     /// Bundles unit-weight pulses as a [`TrainKind::NestedUnary`] train,
     /// validating the nesting invariant (every entry ±1, per-element
-    /// monotonically non-increasing over pulses). Thermometer-family
-    /// encoders produce their trains through this constructor so engines
-    /// can trust the tag.
+    /// monotonically non-increasing over pulses) and converting the
+    /// pulses to per-element high counts.
     ///
     /// # Errors
     ///
     /// Returns the [`new`](Self::new) errors, plus
     /// [`TensorError::InvalidArgument`] when the pulses are not nested
-    /// unary.
+    /// unary or number more than [`MAX_UNARY_PULSES`].
     pub fn nested_unary(pulses: Vec<Tensor>) -> Result<Self> {
-        let weights = vec![1.0; pulses.len()];
-        let mut train = Self::new(pulses, weights)?;
-        for (pi, pulse) in train.pulses.iter().enumerate() {
-            for (flat, &v) in pulse.as_slice().iter().enumerate() {
+        check_dense(&pulses, pulses.len())?;
+        if pulses.len() > MAX_UNARY_PULSES {
+            return Err(TensorError::InvalidArgument(format!(
+                "nested unary trains carry at most {MAX_UNARY_PULSES} pulses, got {}",
+                pulses.len()
+            )));
+        }
+        let mut counts = vec![0u16; pulses[0].len()];
+        for (pi, pulse) in pulses.iter().enumerate() {
+            for (flat, (&v, count)) in pulse.as_slice().iter().zip(&mut counts).enumerate() {
                 if v != 1.0 && v != -1.0 {
                     return Err(TensorError::InvalidArgument(format!(
                         "nested unary train has non-binary entry {v} (pulse {pi})"
                     )));
                 }
-                if pi > 0 && v > train.pulses[pi - 1].as_slice()[flat] {
-                    return Err(TensorError::InvalidArgument(format!(
-                        "nested unary train rises at pulse {pi}, element {flat}"
-                    )));
+                if v == 1.0 {
+                    if usize::from(*count) != pi {
+                        return Err(TensorError::InvalidArgument(format!(
+                            "nested unary train rises at pulse {pi}, element {flat}"
+                        )));
+                    }
+                    *count += 1;
                 }
             }
         }
-        train.kind = TrainKind::NestedUnary;
-        Ok(train)
+        let shape = pulses[0].shape();
+        Ok(Self::from_high_counts(shape, pulses.len(), counts))
     }
 
-    /// The structural class of this train.
+    /// A [`TrainKind::NestedUnary`] train of `num_pulses` unit-weight
+    /// pulses over `shape`, where element `j` is `+1` on pulses
+    /// `0..counts[j]` and `−1` after. Callers guarantee
+    /// `1 <= num_pulses <= MAX_UNARY_PULSES`, one count per element and
+    /// `counts[j] <= num_pulses`.
+    pub(crate) fn from_high_counts(shape: &[usize], num_pulses: usize, counts: Vec<u16>) -> Self {
+        debug_assert!((1..=MAX_UNARY_PULSES).contains(&num_pulses));
+        debug_assert_eq!(counts.len(), shape.iter().product::<usize>());
+        debug_assert!(counts.iter().all(|&c| usize::from(c) <= num_pulses));
+        Self {
+            repr: Repr::Counts {
+                shape: shape.to_vec(),
+                counts,
+            },
+            weights: vec![1.0; num_pulses],
+            dense: OnceLock::new(),
+        }
+    }
+
+    /// The structural class of this train: [`TrainKind::NestedUnary`]
+    /// exactly when it is stored as high counts.
     pub fn kind(&self) -> TrainKind {
-        self.kind
+        match self.repr {
+            Repr::Dense(_) => TrainKind::Generic,
+            Repr::Counts { .. } => TrainKind::NestedUnary,
+        }
+    }
+
+    /// Per-element high counts (number of leading `+1` pulses, row-major
+    /// over [`shape`](Self::shape)) of a [nested-unary](TrainKind::NestedUnary)
+    /// train; `None` for a generic one.
+    pub fn high_counts(&self) -> Option<&[u16]> {
+        match &self.repr {
+            Repr::Dense(_) => None,
+            Repr::Counts { counts, .. } => Some(counts),
+        }
     }
 
     /// Number of pulses (crossbar time steps).
     pub fn num_pulses(&self) -> usize {
-        self.pulses.len()
+        self.weights.len()
     }
 
     /// Shape of each pulse tensor.
     pub fn shape(&self) -> &[usize] {
-        self.pulses[0].shape()
+        match &self.repr {
+            Repr::Dense(pulses) => pulses[0].shape(),
+            Repr::Counts { shape, .. } => shape,
+        }
     }
 
-    /// The pulse tensors, in temporal order.
+    /// The pulse tensors, in temporal order. A count-backed train builds
+    /// them on the first call and keeps them.
     pub fn pulses(&self) -> &[Tensor] {
-        &self.pulses
+        match &self.repr {
+            Repr::Dense(pulses) => pulses,
+            Repr::Counts { shape, counts } => self.dense.get_or_init(|| {
+                (0..self.num_pulses())
+                    .map(|i| {
+                        let data = counts
+                            .iter()
+                            .map(|&c| if i < usize::from(c) { 1.0 } else { -1.0 })
+                            .collect();
+                        Tensor::from_vec(data, shape).expect("counts match the shape")
+                    })
+                    .collect()
+            }),
+        }
     }
 
     /// The accumulation weights.
@@ -132,27 +202,68 @@ impl PulseTrain {
 
     /// Iterates `(weight, pulse)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f32, &Tensor)> {
-        self.weights.iter().copied().zip(&self.pulses)
+        self.weights.iter().copied().zip(self.pulses())
     }
 
     /// Decodes the train back to values: `Σ w_i·x_i / Σ w_i`.
+    ///
+    /// A count-backed train decodes without building its pulses: its
+    /// pulse sum is `2·count − p`, the integer the pulse-by-pulse sum
+    /// reaches exactly, so both forms are bitwise equal.
     ///
     /// # Errors
     ///
     /// Propagates shape errors (impossible for a validated train).
     pub fn decode(&self) -> Result<Tensor> {
-        let mut acc = Tensor::zeros(self.shape());
-        for (w, p) in self.iter() {
-            acc.axpy(w, p)?;
+        let scale = 1.0 / self.weight_norm();
+        match &self.repr {
+            Repr::Dense(_) => {
+                let mut acc = Tensor::zeros(self.shape());
+                for (w, p) in self.iter() {
+                    acc.axpy(w, p)?;
+                }
+                Ok(acc.mul_scalar(scale))
+            }
+            Repr::Counts { shape, counts } => {
+                let p = self.num_pulses() as i32;
+                let data = counts
+                    .iter()
+                    .map(|&c| (2 * i32::from(c) - p) as f32 * scale)
+                    .collect();
+                Tensor::from_vec(data, shape)
+            }
         }
-        Ok(acc.mul_scalar(1.0 / self.weight_norm()))
     }
 
     /// Total pulse-weighted latency proxy: the number of pulses (all
     /// pulses take one time step regardless of weight).
     pub fn latency(&self) -> usize {
-        self.pulses.len()
+        self.num_pulses()
     }
+}
+
+/// The [`PulseTrain::new`] invariants: a non-empty train of same-shaped
+/// pulses, one weight each.
+fn check_dense(pulses: &[Tensor], num_weights: usize) -> Result<()> {
+    let Some(first) = pulses.first() else {
+        return Err(TensorError::InvalidArgument(
+            "pulse train cannot be empty".into(),
+        ));
+    };
+    if pulses.len() != num_weights {
+        return Err(TensorError::InvalidArgument(format!(
+            "{} pulses but {num_weights} weights",
+            pulses.len()
+        )));
+    }
+    if let Some(bad) = pulses.iter().find(|p| p.shape() != first.shape()) {
+        return Err(TensorError::ShapeMismatch {
+            op: "pulse train",
+            lhs: first.shape().to_vec(),
+            rhs: bad.shape().to_vec(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The crossbar execution engine: tile partitioning and pulse-train MVM.
 
-use membit_encoding::{PulseTrain, TrainKind};
+use membit_encoding::PulseTrain;
 use membit_tensor::parallel::{plan_threads, scoped_chunks};
 use membit_tensor::{Rng, Tensor, TensorError};
 
@@ -30,7 +30,7 @@ pub struct ExecOptions {
     pub samples_per_thread: usize,
     /// Which tile MVM kernel executes pulses. [`MvmKernel::Cached`] (the
     /// default) additionally unlocks the incremental pulse-delta schedule
-    /// for [nested-unary](TrainKind::NestedUnary) trains;
+    /// for [nested-unary](membit_encoding::TrainKind::NestedUnary) trains;
     /// [`MvmKernel::Packed`] runs the bit-packed popcount inner loop on
     /// eligible tiles (see [`CrossbarLinear::packed_ready`]) and
     /// downgrades per tile to the cached loop otherwise;
@@ -849,18 +849,21 @@ impl CrossbarLinear {
         // Kernel × schedule compatibility — explicit, never a silent
         // wrong-result path:
         //   - Cached + NestedUnary takes the incremental pulse-delta
-        //     schedule (bitwise equal to the dense schedule; the delta
-        //     path maintains a running f32 pre-sign accumulator that
-        //     only the scalar cached loop can update sparsely).
+        //     schedule, driven by the train's high counts (bitwise equal
+        //     to the dense schedule; the delta path maintains a running
+        //     f32 pre-sign accumulator that only the scalar cached loop
+        //     can update sparsely).
         //   - Packed + NestedUnary deliberately takes the generic dense
         //     path below: a schedule downgrade, not a kernel one — each
         //     pulse still runs the popcount accumulation on eligible
         //     tiles, and outputs stay bitwise equal to Reference (see
         //     `packed_kernel_runs_nested_unary_dense_and_bitwise`).
         //   - Reference (the differential oracle) and every non-nested
-        //     train also take the dense path.
-        if self.config.exec.kernel == MvmKernel::Cached && train.kind() == TrainKind::NestedUnary {
-            return self.execute_block_delta(train, base, s0, ablock, viol);
+        //     train also take the dense path. It reads `train.iter()`,
+        //     which materializes a count-backed train's pulses once.
+        if let (MvmKernel::Cached, Some(counts)) = (self.config.exec.kernel, train.high_counts()) {
+            let np = train.num_pulses();
+            return self.execute_block_delta(counts, np, base, s0, ablock, viol);
         }
         let nb = ablock.len() / self.out_features;
         let nct = self.col_starts.len();
@@ -971,11 +974,16 @@ impl CrossbarLinear {
 
     /// The incremental-pulse fast path of
     /// [`execute_block`](Self::execute_block), taken for
-    /// [nested-unary](TrainKind::NestedUnary) trains under
-    /// [`MvmKernel::Cached`]: per `(tile, sample)`, pulse 0 is one dense
-    /// cached-weight accumulation and every later pulse only re-visits
-    /// the rows that switched `+1 → −1` — `O(rows·cols + Δ·cols)` analog
-    /// work per sample instead of `O(pulses·rows·cols)`.
+    /// [nested-unary](membit_encoding::TrainKind::NestedUnary) trains under
+    /// [`MvmKernel::Cached`], driven by the train's per-element high
+    /// counts (`counts`, row-major `[N, in_features]`, over `np` pulses):
+    /// per `(tile, sample)`, pulse 0 is one dense cached-weight
+    /// accumulation and every later pulse `i` only re-visits the rows
+    /// that switch `+1 → −1` there, those with `count == i` —
+    /// `O(rows·cols + Δ·cols)` analog work per sample instead of
+    /// `O(pulses·rows·cols)`. Pulse `i`'s ±1 drive, which pulse 0, the
+    /// checksum column and SAF correction read, is generated into one
+    /// tile-height scratch row.
     ///
     /// The loop nest is tile-major (the running pre-sign accumulator
     /// lives per tile), but every pulse readout still draws from
@@ -986,16 +994,15 @@ impl CrossbarLinear {
     /// the reference path exactly.
     fn execute_block_delta(
         &self,
-        train: &PulseTrain,
+        counts: &[u16],
+        np: usize,
         base: &Rng,
         s0: usize,
         ablock: &mut [f32],
         viol: &mut [u64],
     ) -> Result<ExecutionStats> {
         let nb = ablock.len() / self.out_features;
-        let np = train.num_pulses();
         let nct = self.col_starts.len();
-        let pulses = train.pulses();
         let mut stats = ExecutionStats {
             pulses: (np * nb) as u64,
             ..Default::default()
@@ -1003,6 +1010,7 @@ impl CrossbarLinear {
         let mut acc_buf = vec![0.0f32; self.config.tile_cols];
         let mut out_buf = vec![0.0f32; self.config.tile_cols];
         let mut retry_buf = vec![0.0f32; self.config.tile_cols];
+        let mut x_buf = vec![0.0f32; self.config.tile_rows];
         for (ri, &r0) in self.row_starts.iter().enumerate() {
             for (ci, &c0) in self.col_starts.iter().enumerate() {
                 let tile = &self.tiles[ri][ci];
@@ -1011,20 +1019,26 @@ impl CrossbarLinear {
                     Some(policy) if tile.guard_armed() => Some(policy),
                     _ => None,
                 };
+                // pulses past 0 need their drive only for these readers
+                let reads_drive = guard.is_some() || tile.has_saf_correction();
                 let acc = &mut acc_buf[..tcols];
                 let out = &mut out_buf[..tcols];
+                let x = &mut x_buf[..trows];
                 for s in 0..nb {
                     let sample = s0 + s;
-                    let x_at = |pi: usize| {
-                        let start = sample * self.in_features + r0;
-                        &pulses[pi].as_slice()[start..start + trows]
-                    };
+                    let start = sample * self.in_features + r0;
+                    let c = &counts[start..start + trows];
                     let arow_start = s * self.out_features + c0;
                     for pi in 0..np {
+                        if pi == 0 || reads_drive {
+                            for (xi, &count) in x.iter_mut().zip(c) {
+                                *xi = if pi < usize::from(count) { 1.0 } else { -1.0 };
+                            }
+                        }
                         if pi == 0 {
-                            tile.accumulate_dense(x_at(0), acc);
+                            tile.accumulate_dense(x, acc);
                         } else {
-                            tile.accumulate_delta(x_at(pi - 1), x_at(pi), acc);
+                            tile.accumulate_switched(c, pi, acc);
                         }
                         let mut rng = base
                             .substream(&[pi as u64, sample as u64, ri as u64, ci as u64]);
@@ -1041,7 +1055,7 @@ impl CrossbarLinear {
                                 policy,
                                 tile,
                                 ri,
-                                x_at(pi),
+                                x,
                                 [pi as u64, sample as u64, ri as u64, ci as u64],
                                 base,
                                 out,
@@ -1053,7 +1067,7 @@ impl CrossbarLinear {
                             }
                         }
                         if tile.has_saf_correction() {
-                            let fixed = tile.apply_saf_correction(x_at(pi), out);
+                            let fixed = tile.apply_saf_correction(x, out);
                             stats.guard.saf_corrections =
                                 stats.guard.saf_corrections.saturating_add(fixed);
                         }

@@ -1372,19 +1372,18 @@ impl Tile {
         }
     }
 
-    /// Sparse update of `acc` from pulse `x_prev` to pulse `x`: only rows
-    /// whose drive changed contribute `(x−x_prev)·w_eff` — for nested
-    /// unary trains that is `−2·w_eff` on the rows that switched
-    /// `+1 → −1`.
-    pub(crate) fn accumulate_delta(&self, x_prev: &[f32], x: &[f32], acc: &mut [f32]) {
-        for (i, (&xp, &xi)) in x_prev.iter().zip(x).enumerate() {
-            if xi == xp {
+    /// Sparse update of `acc` from pulse `pulse − 1` to pulse `pulse` of
+    /// a nested-unary drive given by per-row high counts (row `i` is `+1`
+    /// while `pulse < counts[i]`): the rows with `counts[i] == pulse`
+    /// switch `+1 → −1` and contribute `−2·w_eff`, in row order.
+    pub(crate) fn accumulate_switched(&self, counts: &[u16], pulse: usize, acc: &mut [f32]) {
+        for (i, &c) in counts.iter().enumerate() {
+            if usize::from(c) != pulse {
                 continue;
             }
-            let d = xi - xp;
             let base = i * self.cols;
             for (o, &w) in acc.iter_mut().zip(&self.cache.w_eff[base..base + self.cols]) {
-                *o += d * w;
+                *o += -2.0 * w;
             }
         }
     }
@@ -2630,7 +2629,7 @@ mod tests {
 
     #[test]
     fn delta_schedule_matches_fused_kernel_per_pulse() {
-        // dense pulse 0 + sparse deltas + finish_pulse must reproduce the
+        // dense pulse 0 + switched-row deltas + finish_pulse must reproduce the
         // fused cached kernel bitwise, pulse by pulse, for a nested-unary
         // schedule (monotone +1 → −1 per row)
         let mut rng = Rng::from_seed(23);
@@ -2643,9 +2642,9 @@ mod tests {
         tile.flip_column(3, &mut rng).unwrap(); // non-trivial polarity
         let noise = NoiseSpec::functional(0.3);
         // thermometer-style schedule: row r stays +1 for highs[r] pulses
-        let highs = [3usize, 0, 2, 4];
+        let highs = [3u16, 0, 2, 4];
         let pulse_at = |pi: usize| -> Vec<f32> {
-            highs.iter().map(|&h| if pi < h { 1.0 } else { -1.0 }).collect()
+            highs.iter().map(|&h| if pi < usize::from(h) { 1.0 } else { -1.0 }).collect()
         };
         let mut acc = [0.0f32; 6];
         let mut fast = [0.0f32; 6];
@@ -2655,7 +2654,7 @@ mod tests {
             if pi == 0 {
                 tile.accumulate_dense(&x, &mut acc);
             } else {
-                tile.accumulate_delta(&pulse_at(pi - 1), &x, &mut acc);
+                tile.accumulate_switched(&highs, pi, &mut acc);
             }
             let mut rng_fast = Rng::from_seed(900 + pi as u64);
             let mut rng_slow = Rng::from_seed(900 + pi as u64);

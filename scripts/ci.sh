@@ -25,13 +25,16 @@ echo "=== MVM kernel differential suite ==="
 # staleness fuzzing across all mutators
 cargo test -q -p membit-xbar --test proptest_kernels
 
-echo "=== release-mode float determinism (tensor + kernel suites) ==="
+echo "=== release-mode float determinism (tensor, encoding, kernel suites, forward goldens) ==="
 # the bitwise contracts must hold under optimized codegen too: release
 # builds changed vectorization/libm behavior have broken these before
 # (1-ULP sin divergence in results_identical_for_any_chunking, PR 8)
 cargo test -q --release -p membit-tensor
 cargo test -q --release -p membit-xbar --test proptest_kernels
 cargo test -q --release -p membit-xbar --test proptest_determinism
+# count-backed encoding equivalence and the forward-pass goldens
+cargo test -q --release -p membit-encoding
+cargo test -q --release -p membit-core --test forward_golden
 
 echo "=== analytic MemSE suite (engine-variance identity + bitwise scores) ==="
 # closed-form walk vs paired-MC engine variance, thread-count bitwise
@@ -63,39 +66,42 @@ cargo test -q -p membit-serve --test proptest_shard
 cargo test -q --release -p membit-serve --test proptest_shard
 cargo test -q --release -p membit-serve --test serve_replay
 
+# Smoke runs write under target/bench-smoke so they never overwrite the
+# committed full-size results/BENCH_*.json baselines.
+
 echo "=== bench_engine smoke (BENCH_engine.json + BENCH_mvm.json) ==="
 # exercises both kernels and aborts on any cached/reference disagreement
-./target/release/bench_engine --smoke
-test -s results/BENCH_engine.json
-test -s results/BENCH_mvm.json
+MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/bench_engine --smoke
+test -s target/bench-smoke/BENCH_engine.json
+test -s target/bench-smoke/BENCH_mvm.json
 
 echo "=== ablation_guard smoke (BENCH_guard.json + ablation_guard.csv) ==="
 # asserts gap recovery, false-positive bound, determinism, and the
 # analytic checksum overhead accounting
-./target/release/ablation_guard --smoke
-test -s results/BENCH_guard.json
-test -s results/ablation_guard.csv
+MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/ablation_guard --smoke
+test -s target/bench-smoke/BENCH_guard.json
+test -s target/bench-smoke/ablation_guard.csv
 
 echo "=== ablation_nonideal smoke (BENCH_nonideal.json + ablation_nonideal.csv) ==="
 # asserts SAF gap recovery by the ECC + remap + guard stack, zero false
 # escalations on fault-free scenarios, and per-scenario thread determinism
-./target/release/ablation_nonideal --smoke
-test -s results/BENCH_nonideal.json
-test -s results/ablation_nonideal.csv
+MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/ablation_nonideal --smoke
+test -s target/bench-smoke/BENCH_nonideal.json
+test -s target/bench-smoke/ablation_nonideal.csv
 
 echo "=== bench_serve smoke (BENCH_serve.json) ==="
 # load × chaos sweep cells assert accounting, typed backpressure,
 # health shedding, and bitwise log replay; the shard campaign pair
 # asserts failover under a mid-run kill, a live reconfiguration, and
 # strictly higher 3-shard admitted throughput under the same script
-./target/release/bench_serve --smoke
-test -s results/BENCH_serve.json
+MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/bench_serve --smoke
+test -s target/bench-smoke/BENCH_serve.json
 
 echo "=== bench_memse smoke (BENCH_memse.json) ==="
 # analytic-vs-MC validation cells, search speedup + fidelity gates,
 # tile-allocation non-regression, reconfiguration bitwise replay
-./target/release/bench_memse --smoke
-test -s results/BENCH_memse.json
+MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/bench_memse --smoke
+test -s target/bench-smoke/BENCH_memse.json
 
 echo "=== cargo clippy (-D warnings) ==="
 cargo clippy --release --workspace --all-targets -- -D warnings
