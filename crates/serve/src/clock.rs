@@ -38,7 +38,7 @@ impl ServeClock for VirtualClock {
 
 /// The monotonic wall clock: deadlines expire against real elapsed time
 /// since the clock was created (server start). Inherently jittery —
-/// only the threaded servers use it, and only for expiry decisions.
+/// only the threaded server uses it, and only for expiry decisions.
 #[derive(Debug, Clone, Copy)]
 pub struct MonotonicClock {
     origin: Instant,

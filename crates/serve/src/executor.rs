@@ -1,6 +1,9 @@
-//! The deterministic serving core shared by the threaded [`Server`]
-//! (crate::Server) and the discrete-event [`simulate`](crate::simulate)
-//! driver.
+//! The deterministic serving core of one shard. Every shard of a
+//! [`ShardSet`](crate::ShardSet) owns one [`Executor`], whether the set
+//! runs behind the threaded [`ShardServer`](crate::ShardServer) or the
+//! discrete-event [`simulate_shards`](crate::simulate_shards) loop.
+//! Admission, queueing and routing live in the set; the executor
+//! registers admitted requests, applies mutations, and serves batches.
 //!
 //! All decisions here are pure functions of `(config, admitted order,
 //! batch composition, RNG stream)` — the virtual clock is advanced from
@@ -87,7 +90,7 @@ pub struct ServeStats {
     /// Successful encoding reconfigurations applied between batches.
     pub reconfigures: u64,
     /// Requests re-routed to another shard after their shard died or
-    /// was quarantined mid-flight (sharded deployments only).
+    /// was quarantined mid-flight (sets of two or more shards only).
     pub failovers: u64,
     /// High-water mark of the request queue depth.
     pub max_queue_depth: u64,
@@ -100,18 +103,6 @@ impl ServeStats {
     pub fn accounted(&self) -> bool {
         self.admitted == self.completed + self.expired + self.failed + self.cancelled
     }
-}
-
-/// Admission decision against the bounded queue and health state.
-/// Consumes no RNG — admission order alone never perturbs responses.
-pub fn admit_check(depth: usize, capacity: usize, state: HealthState) -> Result<()> {
-    if state == HealthState::Shedding {
-        return Err(ServeError::Shed);
-    }
-    if depth >= capacity {
-        return Err(ServeError::QueueFull { capacity });
-    }
-    Ok(())
 }
 
 /// How many of `waiting` requests the next batch should take: capped at
@@ -161,9 +152,8 @@ pub(crate) fn run_batch<M: ServeModel>(
 }
 
 /// The single-owner serving core: model, RNG, log, clock, health, and
-/// counters. One `Executor` lives behind the scheduler thread of a
-/// [`Server`](crate::Server) or inside a [`simulate`](crate::simulate)
-/// loop; it is never shared.
+/// counters. One `Executor` serves each shard of a
+/// [`ShardSet`](crate::ShardSet); it is never shared.
 pub struct Executor<M> {
     model: M,
     rng: Rng,
@@ -266,28 +256,10 @@ impl<M: ServeModel> Executor<M> {
         &self.input_shape
     }
 
-    /// Validates a payload, assigns the next dense id, records the
-    /// admission, and returns the [`Pending`] entry. The caller has
-    /// already passed [`admit_check`]; payload validation happens here
-    /// so a malformed request is rejected before it can occupy a slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadRequest`] on a payload length mismatch.
-    pub fn admit(&mut self, input: Vec<f32>, deadline_ns: Option<u64>) -> Result<Pending> {
-        let pending = Pending {
-            id: self.stats.admitted,
-            input,
-            arrival_ns: self.clock_ns,
-            deadline_ns: deadline_ns.unwrap_or(self.config.default_deadline_ns),
-        };
-        self.register(&pending)?;
-        Ok(pending)
-    }
-
-    /// Records an externally built admission (the threaded server
-    /// assigns ids and arrival stamps at submit time) in the log, in
-    /// scheduling order.
+    /// Records an admission (the shard set assigns ids and arrival
+    /// stamps) in the log, in scheduling order. Payload validation
+    /// happens here, so a malformed request is rejected before it can
+    /// occupy a queue slot.
     ///
     /// # Errors
     ///
@@ -458,34 +430,9 @@ impl<M: ServeModel> Executor<M> {
         outcomes
     }
 
-    /// Resolves still-queued requests with [`ServeError::Closed`] (a
-    /// kill, not a drain), returning their typed outcomes. The requests
-    /// passed admission but were never registered (a registered request
-    /// is always served in the same pull), so they count toward
-    /// `admitted` here to keep the accounting identity.
-    pub fn cancel(&mut self, requests: Vec<Pending>) -> Vec<(Pending, Result<Response>)> {
-        requests
-            .into_iter()
-            .map(|req| {
-                self.stats.admitted += 1;
-                self.stats.cancelled += 1;
-                (req, Err(ServeError::Closed))
-            })
-            .collect()
-    }
-
     /// Records a queue-depth observation for the high-water mark.
     pub fn note_queue_depth(&mut self, depth: usize) {
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth as u64);
-    }
-
-    /// Records an admission rejection in the counters.
-    pub fn note_rejection(&mut self, err: &ServeError) {
-        match err {
-            ServeError::QueueFull { .. } => self.stats.rejected_queue_full += 1,
-            ServeError::Shed => self.stats.rejected_shed += 1,
-            _ => {}
-        }
     }
 
     /// Tears the executor down into its report: the model (for
@@ -515,17 +462,20 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn admit_check_is_typed() {
-        assert!(admit_check(0, 2, HealthState::Healthy).is_ok());
-        assert!(matches!(
-            admit_check(2, 2, HealthState::Healthy),
-            Err(ServeError::QueueFull { capacity: 2 })
-        ));
-        assert!(matches!(
-            admit_check(0, 2, HealthState::Shedding),
-            Err(ServeError::Shed)
-        ));
+    /// Registers the next dense id, arriving now, as a shard set would.
+    fn admit(
+        ex: &mut Executor<LinearServeModel>,
+        input: Vec<f32>,
+        deadline_ns: Option<u64>,
+    ) -> Result<Pending> {
+        let pending = Pending {
+            id: ex.stats().admitted,
+            input,
+            arrival_ns: ex.clock_ns(),
+            deadline_ns: deadline_ns.unwrap_or(ex.config().default_deadline_ns),
+        };
+        ex.register(&pending)?;
+        Ok(pending)
     }
 
     #[test]
@@ -542,8 +492,8 @@ mod tests {
     #[test]
     fn serve_completes_and_accounts() {
         let mut ex = executor(1);
-        let a = ex.admit(payload(0), None).unwrap();
-        let b = ex.admit(payload(1), None).unwrap();
+        let a = admit(&mut ex, payload(0), None).unwrap();
+        let b = admit(&mut ex, payload(1), None).unwrap();
         let outcomes = ex.serve(vec![a, b]);
         assert_eq!(outcomes.len(), 2);
         for (_, o) in &outcomes {
@@ -561,9 +511,9 @@ mod tests {
     fn overdue_requests_expire_typed() {
         let mut ex = executor(2);
         // admitted at clock 0 with a 1 ns budget
-        let a = ex.admit(payload(0), Some(1)).unwrap();
+        let a = admit(&mut ex, payload(0), Some(1)).unwrap();
         // force the clock past the deadline by serving another batch first
-        let b = ex.admit(payload(1), None).unwrap();
+        let b = admit(&mut ex, payload(1), None).unwrap();
         ex.serve(vec![b]);
         let outcomes = ex.serve(vec![a]);
         assert!(matches!(
@@ -578,7 +528,7 @@ mod tests {
     fn bad_payload_is_rejected_before_queueing() {
         let mut ex = executor(3);
         assert!(matches!(
-            ex.admit(vec![1.0, 2.0], None),
+            admit(&mut ex, vec![1.0, 2.0], None),
             Err(ServeError::BadRequest(_))
         ));
     }
@@ -586,7 +536,7 @@ mod tests {
     #[test]
     fn chaos_is_logged_in_order() {
         let mut ex = executor(4);
-        let a = ex.admit(payload(0), None).unwrap();
+        let a = admit(&mut ex, payload(0), None).unwrap();
         ex.apply_chaos(0.25).unwrap();
         ex.serve(vec![a]);
         let kinds: Vec<_> = ex

@@ -22,50 +22,62 @@
 //!   that sheds load before the hardware drowns.
 //! - **Deterministic replay.** Every admission, chaos injection,
 //!   expiry, and batch composition is recorded in an append-only
-//!   [`RequestLog`]; [`replay`] re-executes it against a fresh
-//!   deployment and reproduces every response **bitwise**, at any
-//!   engine thread count.
+//!   [`RequestLog`] per shard; [`replay_shards`] re-executes the logs
+//!   against fresh deployments and reproduces every response
+//!   **bitwise**, at any engine thread count.
 //!
-//! Three drivers share the same core [`Executor`]: the threaded
-//! [`Server`] for live concurrent clients, the discrete-event
-//! [`simulate`] loop for load sweeps in virtual time, and [`replay`]
-//! for forensic reproduction.
-//!
-//! Above the single deployment sits the replicated-shard layer: a
-//! [`ShardSet`] of N deployments behind a deterministic [`Router`]
-//! (rendezvous or round-robin, pure in `(seed, id, eligible set)`),
-//! with per-shard health driving admission, drain, quarantine, and
-//! failover — a request whose shard dies mid-flight re-routes under
-//! the [`RetryPolicy`] with zero silent drops, and the accounting
-//! identity extends across shards. Live encoding reconfiguration and
-//! cell-upset faults are scripted through the [`chaos`] harness
-//! ([`ChaosScript`] + [`simulate_shards`]) or applied to the threaded
-//! [`ShardServer`]; per-shard logs replay bitwise via
-//! [`replay_shards`]. Deadlines expire on the virtual timeline by
-//! default, or on real elapsed time with
-//! [`ClockMode::Monotonic`](clock::ClockMode::Monotonic).
+//! There is one serving path for any shard count: a [`ShardSet`] of
+//! N ≥ 1 deployments, each driven by its own [`Executor`], behind a
+//! deterministic [`Router`] (rendezvous or round-robin, pure in
+//! `(seed, id, eligible set)`). A single deployment is a one-model set.
+//! Two front ends run the set: the threaded [`ShardServer`] for live
+//! concurrent clients, and the discrete-event [`simulate_shards`] loop
+//! for load sweeps in virtual time. Per-shard health drives admission,
+//! drain, quarantine, and failover — a request whose shard dies
+//! mid-flight re-routes under the [`RetryPolicy`] with zero silent
+//! drops, a quarantined shard recovers by idle decay, and the
+//! accounting identity holds across shards. Cell upsets, forced health
+//! degradation, kills, and live encoding reconfiguration reach a set
+//! only through [`ChaosAction`]s, scripted with a [`ChaosScript`] or
+//! sent to [`ShardServer::chaos`]. Deadlines expire on the virtual
+//! timeline by default, or on real elapsed time with
+//! [`ClockMode::Monotonic`].
 //!
 //! # Quickstart
 //!
 //! ```
-//! use membit_serve::{simulate, ArrivalEvent, ArrivalKind, ServeConfig};
-//! use membit_serve::LinearServeModel;
+//! use membit_serve::{replay_shards, simulate_shards, ArrivalEvent, ChaosScript};
+//! use membit_serve::{LinearServeModel, RoutePolicy, ServeConfig};
 //! use membit_tensor::{Rng, Tensor};
 //! use membit_xbar::{GuardPolicy, XbarConfig};
 //!
 //! let w = Tensor::from_fn(&[2, 3], |i| if i % 2 == 0 { 1.0 } else { -1.0 });
 //! let cfg = XbarConfig::functional(0.02).with_guard(GuardPolicy::standard());
-//! let model = LinearServeModel::program(&w, &cfg, 9, 4, &mut Rng::from_seed(1)).unwrap();
+//! let deploy = || LinearServeModel::program(&w, &cfg, 9, 4, &mut Rng::from_seed(1)).unwrap();
 //!
 //! let schedule: Vec<ArrivalEvent> = (0..4)
 //!     .map(|i| ArrivalEvent {
 //!         at_ns: i as u64 * 1_000,
-//!         kind: ArrivalKind::Request { input: vec![0.5, -0.5, 1.0], deadline_ns: None },
+//!         input: vec![0.5, -0.5, 1.0],
+//!         deadline_ns: None,
 //!     })
 //!     .collect();
-//! let report = simulate(model, ServeConfig::standard(7), &schedule).unwrap();
+//! let config = ServeConfig::standard(7);
+//! let report = simulate_shards(
+//!     vec![deploy()],
+//!     config.clone(),
+//!     RoutePolicy::default(),
+//!     &schedule,
+//!     &ChaosScript::empty(),
+//! )
+//! .unwrap();
 //! assert_eq!(report.stats.completed, 4);
 //! assert!(report.stats.accounted());
+//!
+//! // the shard's log alone reproduces every response bitwise
+//! let rows = replay_shards(&mut [deploy()], 7, &config.retry, &[report.shards[0].log.clone()])
+//!     .unwrap();
+//! assert_eq!(rows.len(), 4);
 //! ```
 //!
 //! [`DeviceVgg`]: membit_core::DeviceVgg
@@ -86,20 +98,18 @@ pub mod server;
 pub mod shard;
 pub mod sim;
 
-pub use chaos::{simulate_shards, ChaosAction, ChaosEvent, ChaosScript, ShardSimReport};
+pub use chaos::{ChaosAction, ChaosEvent, ChaosScript};
 pub use clock::{ClockMode, MonotonicClock, ServeClock, VirtualClock};
 pub use config::{RetryPolicy, ServeConfig};
 pub use error::ServeError;
-pub use executor::{admit_check, batch_quota, Executor, Pending, Response, ServeStats};
+pub use executor::{batch_quota, Executor, Pending, Response, ServeStats};
 pub use health::{HealthPolicy, HealthState, HealthTracker};
-pub use log::{replay, serve_rng, LogEvent, RequestLog};
+pub use log::{serve_rng, LogEvent, RequestLog};
 pub use model::{LinearServeModel, ServeModel};
 pub use router::{shard_seed, RoutePolicy, Router};
-pub use server::{Handle, ServeReport, Server};
-pub use shard::{
-    replay_shards, ShardRecord, ShardServer, ShardSet, ShardSetReport, ShardStatus,
-};
-pub use sim::{simulate, ArrivalEvent, ArrivalKind, SimOutcome, SimReport};
+pub use server::Handle;
+pub use shard::{replay_shards, ShardRecord, ShardServer, ShardSet, ShardSetReport, ShardStatus};
+pub use sim::{simulate_shards, ArrivalEvent, ShardSimReport, SimOutcome};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServeError>;

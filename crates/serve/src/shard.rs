@@ -1,5 +1,6 @@
-//! Replicated sharded serving: N deployments behind a deterministic
-//! router, with health-driven failover and live reconfiguration.
+//! Serving for any shard count: N ≥ 1 deployments behind a
+//! deterministic router, with health-driven failover and live
+//! reconfiguration. A single deployment is a one-shard set.
 //!
 //! A [`ShardSet`] owns N replicated [`Executor`]s ("shards"), each with
 //! its own queue, virtual clock, request log, health tracker, and RNG
@@ -17,9 +18,11 @@
 //!   [`ServeError::Closed`] only when the budget or the shard pool is
 //!   exhausted. Queued mutations are dropped visibly (chaos failures).
 //! - **Quarantine**: a shard whose health trips `Shedding` stops
-//!   admitting, evicts its queue through the same failover path, and
-//!   re-enters service once idle decay brings the violation EMA back
-//!   down.
+//!   admitting. Each queued request fails over when another shard can
+//!   take it within the retry budget; the rest stay queued and are
+//!   served where they are, so a quarantine never cancels work. The
+//!   shard re-enters service once idle decay (one tick per settle pass)
+//!   brings the violation EMA back down.
 //! - **Drain**: admissions stop, the backlog is served, the shard
 //!   returns to service.
 //! - **Reconfigure**: queued in stream order on the target shard, so it
@@ -33,9 +36,10 @@
 //!
 //! [`ShardServer`] is the live threaded front: clients submit into one
 //! bounded inbox; a single scheduler thread owns the `ShardSet` and does
-//! all routing, serving, failover, and chaos application — the same
-//! single-owner concurrency model as [`Server`](crate::Server), so
-//! concurrency can only reorder admissions, which the logs capture.
+//! all routing, serving, failover, and chaos application. All model
+//! state, RNG, and logs live behind that one thread, so concurrency can
+//! only reorder admissions and change which requests share a batch —
+//! both of which the logs capture.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,8 +70,8 @@ pub enum ShardStatus {
     ///
     /// [`Up`]: ShardStatus::Up
     Draining,
-    /// Health tripped `Shedding`: not admitting, queue evicted; idle
-    /// decay returns it to service.
+    /// Health tripped `Shedding`: not admitting; serves whatever could
+    /// not fail over. Idle decay returns it to service.
     Quarantined,
     /// Killed. Frozen until a `Revive`.
     Down,
@@ -356,21 +360,32 @@ impl<M: ServeModel> ShardSet<M> {
         None
     }
 
-    /// Empties shard `k`'s queue: requests fail over, mutations are
-    /// dropped visibly (counted as chaos failures).
-    fn evict(&mut self, k: usize) -> Vec<ShardOutcome> {
+    /// Empties shard `k`'s queue after a kill: requests fail over (or
+    /// cancel typed), mutations are dropped visibly (counted as chaos
+    /// failures). After a quarantine (`kill == false`) only requests
+    /// that another shard can take within the retry budget move; the
+    /// rest of the queue stays, in order, and is served on `k`.
+    fn evict(&mut self, k: usize, kill: bool) -> Vec<ShardOutcome> {
         let drained: Vec<ShardWork> = self.shards[k].queue.drain(..).collect();
         self.shards[k].depth = 0;
         let mut out = Vec::new();
         for work in drained {
             match work {
-                ShardWork::Upset { .. } | ShardWork::Reconfigure { .. } => {
+                ShardWork::Request { pending, attempts }
+                    if kill
+                        || (attempts < self.config.retry.max_retries
+                            && !self.eligible().is_empty()) =>
+                {
+                    out.extend(self.reroute(pending, attempts + 1));
+                }
+                ShardWork::Upset { .. } | ShardWork::Reconfigure { .. } if kill => {
                     self.chaos_failures += 1;
                 }
-                ShardWork::Request { pending, attempts } => {
-                    if let Some(o) = self.reroute(pending, attempts + 1) {
-                        out.push(o);
+                kept => {
+                    if matches!(kept, ShardWork::Request { .. }) {
+                        self.shards[k].depth += 1;
                     }
+                    self.shards[k].queue.push_back(kept);
                 }
             }
         }
@@ -409,7 +424,7 @@ impl<M: ServeModel> ShardSet<M> {
                     return Ok(Vec::new()); // idempotent
                 }
                 self.shards[k].status = ShardStatus::Down;
-                Ok(self.evict(k))
+                Ok(self.evict(k, true))
             }
             ChaosAction::Revive { .. } => {
                 if self.shards[k].status == ShardStatus::Down {
@@ -459,7 +474,7 @@ impl<M: ServeModel> ShardSet<M> {
                 let state = self.shards[k].executor.force_health(*ema);
                 if state == HealthState::Shedding && self.shards[k].status == ShardStatus::Up {
                     self.shards[k].status = ShardStatus::Quarantined;
-                    return Ok(self.evict(k));
+                    return Ok(self.evict(k, false));
                 }
                 Ok(Vec::new())
             }
@@ -536,7 +551,7 @@ impl<M: ServeModel> ShardSet<M> {
             && self.shards[s].executor.health_state() == HealthState::Shedding
         {
             self.shards[s].status = ShardStatus::Quarantined;
-            out.extend(self.evict(s));
+            out.extend(self.evict(s, false));
         }
         (progress, out)
     }
@@ -820,6 +835,10 @@ impl<M: ServeModel + Send + 'static> ShardServer<M> {
         }
         if !q.routable {
             self.shared.rejected_shed.fetch_add(1, Ordering::Relaxed);
+            drop(q);
+            // wake an idle scheduler for one settle pass, so a
+            // quarantined set decays back into service under traffic
+            self.shared.cv.notify_one();
             return Err(ServeError::Shed);
         }
         if q.inbox_requests + q.shard_depth >= self.total_capacity {
@@ -861,11 +880,7 @@ impl<M: ServeModel + Send + 'static> ShardServer<M> {
     /// Returns [`ServeError::Closed`] after shutdown/kill and
     /// [`ServeError::BadRequest`] for out-of-range parameters.
     pub fn chaos(&self, action: ChaosAction) -> Result<()> {
-        // reuse the script-level parameter validation
-        crate::chaos::ChaosScript::new(vec![crate::chaos::ChaosEvent {
-            at_ns: 0,
-            action: action.clone(),
-        }])?;
+        action.validate()?;
         let mut q = lock_recover(&self.shared.q);
         if !q.open {
             return Err(ServeError::Closed);
@@ -905,7 +920,7 @@ impl<M: ServeModel + Send + 'static> ShardServer<M> {
         self.join()
     }
 
-    fn close(&self, kill: bool) {
+    pub(crate) fn close(&self, kill: bool) {
         let mut q = lock_recover(&self.shared.q);
         q.open = false;
         if kill {
@@ -955,6 +970,7 @@ enum ShardPulled {
 
 fn shard_pull<M: ServeModel>(shared: &ShardShared, set: &ShardSet<M>) -> ShardPulled {
     let mut q = lock_recover(&shared.q);
+    let mut woken = false;
     loop {
         if q.killed {
             let items: Vec<InboxItem> = q.items.drain(..).collect();
@@ -963,6 +979,9 @@ fn shard_pull<M: ServeModel>(shared: &ShardShared, set: &ShardSet<M>) -> ShardPu
         }
         if !q.items.is_empty() {
             let items: Vec<InboxItem> = q.items.drain(..).collect();
+            // pulled requests keep counting against capacity until the
+            // scheduler publishes the set's depth after routing them
+            q.shard_depth += q.inbox_requests;
             q.inbox_requests = 0;
             return ShardPulled::Items(items);
         }
@@ -972,10 +991,15 @@ fn shard_pull<M: ServeModel>(shared: &ShardShared, set: &ShardSet<M>) -> ShardPu
         if !q.open {
             return ShardPulled::Exit;
         }
+        if woken && !q.routable {
+            // a shed submission: run one settle pass (idle decay)
+            return ShardPulled::Continue;
+        }
         q = match shared.cv.wait(q) {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
+        woken = true;
     }
 }
 
@@ -1297,6 +1321,76 @@ mod tests {
         let report = server.shutdown().unwrap();
         assert!(report.stats.chaos_failures >= 1);
         assert!(report.stats.accounted());
+    }
+
+    #[test]
+    fn idle_quarantined_server_recovers_under_shed_traffic() {
+        // a one-shard live server forced into Shedding with nothing
+        // queued: each shed submit must wake the scheduler for a settle
+        // pass, so idle decay eventually readmits and serves traffic
+        let server = ShardServer::start(
+            models(1, 10),
+            ServeConfig::standard(35),
+            RoutePolicy::default(),
+        )
+        .unwrap();
+        server
+            .chaos(ChaosAction::Degrade { shard: 0, ema: 0.9 })
+            .unwrap();
+        let mut shed = 0u64;
+        let mut served = None;
+        for i in 0..10_000 {
+            let outcome = server.submit(payload(i), None).and_then(Handle::wait);
+            match outcome {
+                Ok(r) => {
+                    served = Some(r);
+                    break;
+                }
+                Err(ServeError::Shed) => shed += 1,
+                Err(e) => panic!("unexpected outcome: {e}"),
+            }
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        let report = server.shutdown().unwrap();
+        assert!(shed > 0, "the degrade must have shed traffic first");
+        assert_eq!(
+            served.map(|r| r.output.len()),
+            Some(2),
+            "{:?}",
+            report.stats
+        );
+        assert_eq!(report.stats.completed, 1);
+        assert_eq!(report.shards[0].status, ShardStatus::Up);
+        assert!(report.stats.accounted());
+    }
+
+    #[test]
+    fn quarantine_serves_stranded_backlog_instead_of_cancelling() {
+        // a lone shard has nowhere to fail over: quarantine keeps its
+        // queue (requests and mutations, in order) and serves it
+        let mut cfg = ServeConfig::standard(37);
+        cfg.max_batch = 1;
+        cfg.block_align = 1;
+        let mut set = ShardSet::new(models(1, 11), cfg, RoutePolicy::default()).unwrap();
+        submit_n(&mut set, 2, 0);
+        set.apply(&ChaosAction::Upset {
+            shard: 0,
+            rate: 0.1,
+        })
+        .unwrap();
+        submit_n(&mut set, 2, 0);
+        let evicted = set
+            .apply(&ChaosAction::Degrade { shard: 0, ema: 0.9 })
+            .unwrap();
+        assert!(evicted.is_empty());
+        assert_eq!(set.status(0), Some(ShardStatus::Quarantined));
+        assert_eq!(set.total_depth(), 4);
+        let out = set.serve_until(None);
+        assert_eq!(out.len(), 4);
+        assert!(out.iter().all(|(_, r)| r.is_ok()));
+        let stats = set.stats();
+        assert!(stats.accounted(), "{stats:?}");
+        assert_eq!((stats.cancelled, stats.chaos_events), (0, 1));
     }
 
     #[test]

@@ -1,56 +1,38 @@
-//! Discrete-event load simulation over the serving core.
+//! Discrete-event load simulation over a [`ShardSet`].
 //!
-//! [`simulate`] drives an [`Executor`] through a timed arrival schedule
-//! entirely in virtual time: requests arrive at their scheduled
-//! timestamps, batches advance the clock by the energy model's latency
-//! accounting, and admission control sees exactly the queue depth a
-//! live server would at that virtual instant. Because no wall clock is
-//! involved, a simulation is a pure function of `(model, config,
-//! schedule)` — the offered-load sweeps of `bench_serve` and the queue
-//! invariant proptests both run on it.
+//! [`simulate_shards`] drives a set of N ≥ 1 shards through a timed
+//! arrival schedule while a [`ChaosScript`] injects faults, entirely in
+//! virtual time: requests arrive at their scheduled timestamps, batches
+//! advance each shard's clock by the energy model's latency accounting,
+//! and admission sees exactly the queue depths and health a live
+//! [`ShardServer`](crate::ShardServer) would at that virtual instant.
+//! Because no wall clock is involved, a simulation is a pure function of
+//! `(models, config, policy, schedule, script)` — the offered-load
+//! sweeps of `bench_serve` and the queue and shard proptests all run on
+//! it. A single deployment is simply a one-model set.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 
+use crate::chaos::ChaosScript;
 use crate::config::ServeConfig;
-use crate::executor::{admit_check, batch_quota, Executor, Pending, Response, ServeStats};
-use crate::log::RequestLog;
+use crate::executor::{Pending, Response};
 use crate::model::ServeModel;
-use crate::{Result, ServeError};
+use crate::router::RoutePolicy;
+use crate::shard::{ShardOutcome, ShardRecord, ShardSet};
+use crate::{Result, ServeError, ServeStats};
 
-/// What arrives at a scheduled instant.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrivalKind {
-    /// A client request with a flattened payload and optional deadline
-    /// override (virtual ns).
-    Request {
-        /// Flattened input sample.
-        input: Vec<f32>,
-        /// Deadline budget; `None` uses the config default.
-        deadline_ns: Option<u64>,
-    },
-    /// A chaos injection at the given per-cell upset rate.
-    Chaos {
-        /// Per-cell upset rate.
-        rate: f32,
-    },
-    /// An encoding reconfiguration: swap the model's pulse counts
-    /// before the next batch (no RNG, no reprogramming).
-    Reconfigure {
-        /// Pulse counts per crossbar operator.
-        pulses: Vec<usize>,
-    },
-}
-
-/// One scheduled arrival.
+/// One scheduled client request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalEvent {
     /// Virtual arrival time (ns); the schedule must be non-decreasing.
     pub at_ns: u64,
-    /// What arrives.
-    pub kind: ArrivalKind,
+    /// Flattened input sample.
+    pub input: Vec<f32>,
+    /// Deadline budget (virtual ns); `None` uses the config default.
+    pub deadline_ns: Option<u64>,
 }
 
-/// Outcome of one scheduled request (chaos events produce no outcome).
+/// Outcome of one scheduled request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOutcome {
     /// Position in the input schedule.
@@ -62,36 +44,38 @@ pub struct SimOutcome {
 }
 
 /// Final state of a simulation.
-pub struct SimReport<M> {
-    /// The model after serving.
-    pub model: M,
-    /// The append-only request log (replayable).
-    pub log: RequestLog,
-    /// Aggregate counters; `stats.accounted()` holds.
+pub struct ShardSimReport<M> {
+    /// Set-level counters; `stats.accounted()` holds across shards.
     pub stats: ServeStats,
+    /// Per-shard teardown records (model, log, shard-local stats,
+    /// final status) — feed the logs to [`crate::replay_shards`].
+    pub shards: Vec<ShardRecord<M>>,
     /// Per-scheduled-request outcomes, in schedule order.
     pub outcomes: Vec<SimOutcome>,
 }
 
-enum SimWork {
-    Request(Pending, usize),
-    Chaos { rate: f32 },
-    Reconfigure { pulses: Vec<usize> },
-}
-
-/// Runs `model` through `schedule` under `config`, entirely in virtual
-/// time.
+/// Runs a replicated `models` deployment (one model for a single
+/// deployment) through `schedule` while `script` injects faults,
+/// entirely in virtual time.
+///
+/// Model mutations reach the set only through the script, which names
+/// its target shard explicitly. At a timeline tie, scripted actions
+/// apply before arrivals. Each event instant starts by serving up to
+/// that instant and one settle pass, so a quarantined shard recovers by
+/// idle decay even without traffic.
 ///
 /// # Errors
 ///
-/// Returns a `BadRequest` for an unsorted schedule and propagates
-/// configuration errors; per-request failures land in the outcomes, not
-/// here.
-pub fn simulate<M: ServeModel>(
-    model: M,
+/// Returns [`ServeError::BadRequest`] for an unsorted schedule or a
+/// non-virtual clock mode, and propagates construction errors;
+/// per-request failures land in the outcomes, not here.
+pub fn simulate_shards<M: ServeModel>(
+    models: Vec<M>,
     config: ServeConfig,
+    policy: RoutePolicy,
     schedule: &[ArrivalEvent],
-) -> Result<SimReport<M>> {
+    script: &ChaosScript,
+) -> Result<ShardSimReport<M>> {
     if schedule.windows(2).any(|w| w[0].at_ns > w[1].at_ns) {
         return Err(ServeError::BadRequest(
             "arrival schedule must be sorted by at_ns".into(),
@@ -102,125 +86,75 @@ pub fn simulate<M: ServeModel>(
             "simulation requires ClockMode::Virtual".into(),
         ));
     }
-    let capacity = config.queue_capacity;
-    let max_batch = config.max_batch;
-    let block_align = config.block_align;
     let default_deadline = config.default_deadline_ns;
-    let mut executor = Executor::new(model, config)?;
-    let mut queue: VecDeque<SimWork> = VecDeque::new();
-    let mut depth = 0usize;
+    let mut set = ShardSet::new(models, config, policy)?;
+    let events = script.events();
     let mut outcomes: Vec<SimOutcome> = Vec::new();
-    let mut next = 0usize;
-    loop {
-        // ingest every arrival due at the current virtual time
-        while next < schedule.len() && schedule[next].at_ns <= executor.clock_ns() {
-            let event = &schedule[next];
-            match &event.kind {
-                ArrivalKind::Chaos { rate } => {
-                    queue.push_back(SimWork::Chaos { rate: *rate });
-                }
-                ArrivalKind::Reconfigure { pulses } => {
-                    queue.push_back(SimWork::Reconfigure {
-                        pulses: pulses.clone(),
-                    });
-                }
-                ArrivalKind::Request { input, deadline_ns } => {
-                    match admit_check(depth, capacity, executor.health_state()) {
-                        Err(e) => {
-                            executor.note_rejection(&e);
-                            outcomes.push(SimOutcome {
-                                index: next,
-                                id: None,
-                                result: Err(e),
-                            });
-                        }
-                        Ok(()) => {
-                            let pending = Pending {
-                                id: executor.stats().admitted,
-                                input: input.clone(),
-                                arrival_ns: event.at_ns,
-                                deadline_ns: deadline_ns.unwrap_or(default_deadline),
-                            };
-                            match executor.register(&pending) {
-                                Err(e) => outcomes.push(SimOutcome {
-                                    index: next,
-                                    id: None,
-                                    result: Err(e),
-                                }),
-                                Ok(()) => {
-                                    queue.push_back(SimWork::Request(pending, next));
-                                    depth += 1;
-                                    executor.note_queue_depth(depth);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            next += 1;
+    // schedule position of each admitted id, for outcome attribution
+    let mut index_of: HashMap<u64, usize> = HashMap::new();
+    let record = |outcomes: &mut Vec<SimOutcome>,
+                  index_of: &HashMap<u64, usize>,
+                  resolved: Vec<ShardOutcome>| {
+        for (id, result) in resolved {
+            let index = index_of.get(&id).copied().unwrap_or(usize::MAX);
+            outcomes.push(SimOutcome {
+                index,
+                id: Some(id),
+                result,
+            });
         }
-        if !queue.is_empty() {
-            // apply leading model mutations (chaos, reconfigurations) in
-            // arrival order, then execute one aligned batch
-            while matches!(
-                queue.front(),
-                Some(SimWork::Chaos { .. } | SimWork::Reconfigure { .. })
-            ) {
-                match queue.pop_front() {
-                    Some(SimWork::Chaos { rate }) => {
-                        let _ = executor.apply_chaos(rate); // counted in stats
-                    }
-                    Some(SimWork::Reconfigure { pulses }) => {
-                        // a rejected swap keeps the old encoding; counted
-                        // only on success (nothing is logged on failure)
-                        let _ = executor.apply_reconfigure(&pulses);
-                    }
-                    // requests are never popped here; put anything else
-                    // back rather than assert (no panic paths in serving)
-                    Some(other) => {
-                        queue.push_front(other);
-                        break;
-                    }
-                    None => break,
-                }
+    };
+    let (mut si, mut ci) = (0usize, 0usize);
+    while si < schedule.len() || ci < events.len() {
+        let t = match (schedule.get(si), events.get(ci)) {
+            (Some(a), Some(c)) => a.at_ns.min(c.at_ns),
+            (Some(a), None) => a.at_ns,
+            (None, Some(c)) => c.at_ns,
+            (None, None) => break,
+        };
+        let resolved = set.serve_until(Some(t));
+        record(&mut outcomes, &index_of, resolved);
+        while ci < events.len() && events[ci].at_ns <= t {
+            // a rejected action (bad index, dead target) is already
+            // counted by the set as a chaos failure — never silent
+            if let Ok(resolved) = set.apply(&events[ci].action) {
+                record(&mut outcomes, &index_of, resolved);
             }
-            let run = queue
-                .iter()
-                .take_while(|w| matches!(w, SimWork::Request(..)))
-                .count();
-            if run > 0 {
-                let take = batch_quota(run, max_batch, block_align);
-                let mut batch = Vec::with_capacity(take);
-                let mut indices = Vec::with_capacity(take);
-                for _ in 0..take {
-                    if let Some(SimWork::Request(p, idx)) = queue.pop_front() {
-                        batch.push(p);
-                        indices.push(idx);
-                    }
+            ci += 1;
+        }
+        while si < schedule.len() && schedule[si].at_ns <= t {
+            let arrival = &schedule[si];
+            let id = set.next_request_id();
+            let pending = Pending {
+                id,
+                input: arrival.input.clone(),
+                arrival_ns: arrival.at_ns,
+                deadline_ns: arrival.deadline_ns.unwrap_or(default_deadline),
+            };
+            match set.submit(pending) {
+                Ok(_) => {
+                    index_of.insert(id, si);
                 }
-                depth -= batch.len();
-                for ((req, result), index) in executor.serve(batch).into_iter().zip(indices) {
-                    outcomes.push(SimOutcome {
-                        index,
-                        id: Some(req.id),
-                        result,
-                    });
-                }
+                Err(e) => outcomes.push(SimOutcome {
+                    index: si,
+                    id: None,
+                    result: Err(e),
+                }),
             }
-            continue;
+            si += 1;
         }
-        if next < schedule.len() {
-            executor.advance_clock_to(schedule[next].at_ns);
-            continue;
-        }
-        break;
     }
+    let resolved = set.serve_until(None);
+    record(&mut outcomes, &index_of, resolved);
+    // nothing should remain queued after a full drain; resolve typed if
+    // an invariant ever breaks rather than dropping silently
+    let resolved = set.cancel_queued();
+    record(&mut outcomes, &index_of, resolved);
     outcomes.sort_by_key(|o| o.index);
-    let (model, log, stats) = executor.into_report();
-    Ok(SimReport {
-        model,
-        log,
-        stats,
+    let report = set.into_report();
+    Ok(ShardSimReport {
+        stats: report.stats,
+        shards: report.shards,
         outcomes,
     })
 }
@@ -228,6 +162,7 @@ pub fn simulate<M: ServeModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosAction, ChaosEvent};
     use crate::model::LinearServeModel;
     use membit_tensor::{Rng, Tensor};
     use membit_xbar::{GuardPolicy, XbarConfig};
@@ -241,19 +176,40 @@ mod tests {
     fn request(at_ns: u64, i: usize) -> ArrivalEvent {
         ArrivalEvent {
             at_ns,
-            kind: ArrivalKind::Request {
-                input: (0..3)
-                    .map(|j| (((i * 3 + j) % 5) as f32 / 2.0 - 1.0).clamp(-1.0, 1.0))
-                    .collect(),
-                deadline_ns: None,
-            },
+            input: (0..3)
+                .map(|j| (((i * 3 + j) % 5) as f32 / 2.0 - 1.0).clamp(-1.0, 1.0))
+                .collect(),
+            deadline_ns: None,
         }
+    }
+
+    /// One deployment through `schedule` with `actions` scripted on
+    /// shard 0 at their instants.
+    fn simulate_one(
+        seed: u64,
+        config: ServeConfig,
+        schedule: &[ArrivalEvent],
+        actions: Vec<(u64, ChaosAction)>,
+    ) -> Result<ShardSimReport<LinearServeModel>> {
+        let script = ChaosScript::new(
+            actions
+                .into_iter()
+                .map(|(at_ns, action)| ChaosEvent { at_ns, action })
+                .collect(),
+        )?;
+        simulate_shards(
+            vec![model(seed)],
+            config,
+            RoutePolicy::default(),
+            schedule,
+            &script,
+        )
     }
 
     #[test]
     fn spread_arrivals_all_complete() {
         let schedule: Vec<ArrivalEvent> = (0..8).map(|i| request(i as u64 * 10_000, i)).collect();
-        let report = simulate(model(1), ServeConfig::standard(1), &schedule).unwrap();
+        let report = simulate_one(1, ServeConfig::standard(1), &schedule, vec![]).unwrap();
         assert!(report.stats.accounted());
         assert_eq!(report.stats.completed, 8);
         assert_eq!(report.outcomes.len(), 8);
@@ -267,7 +223,7 @@ mod tests {
         let mut cfg = ServeConfig::standard(2);
         cfg.queue_capacity = 4;
         let schedule: Vec<ArrivalEvent> = (0..10).map(|i| request(0, i)).collect();
-        let report = simulate(model(2), cfg, &schedule).unwrap();
+        let report = simulate_one(2, cfg, &schedule, vec![]).unwrap();
         let full = report
             .outcomes
             .iter()
@@ -283,22 +239,22 @@ mod tests {
     fn unsorted_schedule_is_rejected() {
         let schedule = vec![request(100, 0), request(0, 1)];
         assert!(matches!(
-            simulate(model(3), ServeConfig::standard(3), &schedule),
+            simulate_one(3, ServeConfig::standard(3), &schedule, vec![]),
             Err(ServeError::BadRequest(_))
         ));
     }
 
     #[test]
     fn chaos_between_requests_is_applied_in_order() {
-        let schedule = vec![
-            request(0, 0),
-            ArrivalEvent {
-                at_ns: 0,
-                kind: ArrivalKind::Chaos { rate: 0.25 },
-            },
-            request(0, 1),
-        ];
-        let report = simulate(model(4), ServeConfig::standard(4), &schedule).unwrap();
+        // the upset fires after the first request's batch and before
+        // the second request arrives
+        let schedule = vec![request(0, 0), request(1, 1)];
+        let upset = ChaosAction::Upset {
+            shard: 0,
+            rate: 0.25,
+        };
+        let report =
+            simulate_one(4, ServeConfig::standard(4), &schedule, vec![(1, upset)]).unwrap();
         assert_eq!(report.stats.chaos_events, 1);
         assert!(report.stats.chaos_upsets > 0);
         assert_eq!(report.stats.completed, 2);
@@ -307,22 +263,24 @@ mod tests {
     #[test]
     fn reconfigure_swaps_encoding_and_replays_bitwise() {
         let config = ServeConfig::standard(6);
-        let schedule = vec![
-            request(0, 0),
-            ArrivalEvent {
-                at_ns: 0,
-                kind: ArrivalKind::Reconfigure { pulses: vec![12] },
-            },
-            request(0, 1),
-        ];
-        let report = simulate(model(6), config.clone(), &schedule).unwrap();
+        let schedule = vec![request(0, 0), request(1, 1)];
+        let swap = ChaosAction::Reconfigure {
+            shard: 0,
+            pulses: vec![12],
+        };
+        let report = simulate_one(6, config.clone(), &schedule, vec![(1, swap)]).unwrap();
         assert_eq!(report.stats.reconfigures, 1);
         assert_eq!(report.stats.completed, 2);
         assert!(report.stats.accounted());
         // the log records the swap between the two batches, and replay
         // against a freshly programmed model is bitwise identical
-        let replayed =
-            crate::log::replay(&mut model(6), 6, &config.retry, &report.log).unwrap();
+        let replayed = crate::replay_shards(
+            &mut [model(6)],
+            6,
+            &config.retry,
+            &[report.shards[0].log.clone()],
+        )
+        .unwrap();
         let mut live: Vec<(u64, Vec<f32>)> = report
             .outcomes
             .iter()
@@ -334,10 +292,8 @@ mod tests {
             })
             .collect();
         live.sort_by_key(|(id, _)| *id);
-        let mut sorted = replayed.clone();
-        sorted.sort_by_key(|(id, _)| *id);
-        assert_eq!(live.len(), sorted.len());
-        for ((id_a, row_a), (id_b, row_b)) in live.iter().zip(&sorted) {
+        assert_eq!(live.len(), replayed.len());
+        for ((id_a, row_a), (id_b, row_b)) in live.iter().zip(&replayed) {
             assert_eq!(id_a, id_b);
             let bits_a: Vec<u32> = row_a.iter().map(|v| v.to_bits()).collect();
             let bits_b: Vec<u32> = row_b.iter().map(|v| v.to_bits()).collect();
@@ -347,20 +303,17 @@ mod tests {
 
     #[test]
     fn rejected_reconfigure_keeps_serving_on_old_encoding() {
-        let schedule = vec![
-            request(0, 0),
-            ArrivalEvent {
-                at_ns: 0,
-                // zero pulses: the model rejects, the swap must not stick
-                kind: ArrivalKind::Reconfigure { pulses: vec![0] },
-            },
-            request(0, 1),
-        ];
-        let report = simulate(model(7), ServeConfig::standard(7), &schedule).unwrap();
+        let schedule = vec![request(0, 0), request(1, 1)];
+        // zero pulses: the model rejects, the swap must not stick
+        let swap = ChaosAction::Reconfigure {
+            shard: 0,
+            pulses: vec![0],
+        };
+        let report = simulate_one(7, ServeConfig::standard(7), &schedule, vec![(1, swap)]).unwrap();
         assert_eq!(report.stats.reconfigures, 0);
         assert_eq!(report.stats.completed, 2);
         // nothing was logged, so the log replays without the bad event
-        assert!(!report
+        assert!(!report.shards[0]
             .log
             .events()
             .iter()
@@ -379,14 +332,12 @@ mod tests {
         let schedule: Vec<ArrivalEvent> = (0..6)
             .map(|_| ArrivalEvent {
                 at_ns: 0,
-                kind: ArrivalKind::Request {
-                    input: vec![0.5, -0.5, 1.0],
-                    deadline_ns: Some(1),
-                },
+                input: vec![0.5, -0.5, 1.0],
+                deadline_ns: Some(1),
             })
             .chain(std::iter::once(request(1_000_000, 6)))
             .collect();
-        let report = simulate(model(5), cfg, &schedule).unwrap();
+        let report = simulate_one(5, cfg, &schedule, vec![]).unwrap();
         assert!(report.stats.expired > 0, "{:?}", report.stats);
         assert!(report.stats.accounted());
         let expired = report

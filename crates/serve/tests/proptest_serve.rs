@@ -1,12 +1,14 @@
-//! Queue invariants of the serving core, property-tested over random
-//! workloads: conservation (every request resolved exactly once, no
-//! lost or double-served work), admission monotone in queue capacity,
-//! zero silent drops, and bitwise replay of the request log.
+//! Queue invariants of a single deployment (a one-shard set),
+//! property-tested over random workloads: conservation (every request
+//! resolved exactly once, no lost or double-served work), admission
+//! monotone in queue capacity, zero silent drops, and bitwise replay of
+//! the request log.
 
 use std::collections::HashMap;
 
 use membit_serve::{
-    replay, simulate, ArrivalEvent, ArrivalKind, LinearServeModel, ServeConfig, ServeError,
+    replay_shards, simulate_shards, ArrivalEvent, ChaosAction, ChaosEvent, ChaosScript,
+    LinearServeModel, RoutePolicy, ServeConfig, ServeError, ShardSimReport,
 };
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{GuardPolicy, XbarConfig};
@@ -34,28 +36,45 @@ fn payload(i: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// A random workload: `n` requests with random inter-arrival gaps and an
-/// occasional chaos event.
-fn schedule(n: usize, gap_ns: u64, chaos_every: usize, seed: u64) -> Vec<ArrivalEvent> {
+/// A random workload: `n` requests with random inter-arrival gaps, and
+/// a script upsetting the deployment's cells just before every
+/// `chaos_every`-th request (0 = never).
+fn schedule(
+    n: usize,
+    gap_ns: u64,
+    chaos_every: usize,
+    seed: u64,
+) -> (Vec<ArrivalEvent>, ChaosScript) {
     let mut events = Vec::new();
+    let mut chaos = Vec::new();
     let mut t = 0u64;
     for i in 0..n {
         t += gap_ns * ((i as u64 % 3) + 1) / 2;
         if chaos_every > 0 && i > 0 && i % chaos_every == 0 {
-            events.push(ArrivalEvent {
+            chaos.push(ChaosEvent {
                 at_ns: t,
-                kind: ArrivalKind::Chaos { rate: 0.01 },
+                action: ChaosAction::Upset {
+                    shard: 0,
+                    rate: 0.01,
+                },
             });
         }
         events.push(ArrivalEvent {
             at_ns: t,
-            kind: ArrivalKind::Request {
-                input: payload(i, seed),
-                deadline_ns: None,
-            },
+            input: payload(i, seed),
+            deadline_ns: None,
         });
     }
-    events
+    (events, ChaosScript::new(chaos).expect("sorted script"))
+}
+
+/// Serves one deployment through the schedule and its script.
+fn simulate_one(
+    model: LinearServeModel,
+    cfg: ServeConfig,
+    (events, script): &(Vec<ArrivalEvent>, ChaosScript),
+) -> membit_serve::Result<ShardSimReport<LinearServeModel>> {
+    simulate_shards(vec![model], cfg, RoutePolicy::default(), events, script)
 }
 
 proptest! {
@@ -80,13 +99,11 @@ proptest! {
         cfg.max_batch = max_batch;
         cfg.block_align = block_align;
         let events = schedule(n, gap, chaos_every, seed);
-        let report = simulate(model(seed), cfg, &events).expect("simulate");
+        let report = simulate_one(model(seed), cfg, &events).expect("simulate");
 
         prop_assert!(report.stats.accounted(), "{:?}", report.stats);
         // one outcome per scheduled request, each index exactly once
-        let requests = events.iter()
-            .filter(|e| matches!(e.kind, ArrivalKind::Request { .. }))
-            .count();
+        let requests = events.0.len();
         prop_assert_eq!(report.outcomes.len(), requests);
         let mut seen = std::collections::HashSet::new();
         for o in &report.outcomes {
@@ -124,7 +141,7 @@ proptest! {
         let admitted = |capacity: usize| -> std::collections::HashSet<usize> {
             let mut cfg = ServeConfig::standard(seed);
             cfg.queue_capacity = capacity;
-            simulate(model(seed), cfg, &events)
+            simulate_one(model(seed), cfg, &events)
                 .expect("simulate")
                 .outcomes
                 .iter()
@@ -154,15 +171,16 @@ proptest! {
         cfg.max_batch = max_batch;
         let retry = cfg.retry;
         let events = schedule(n, 20_000, chaos_every, seed);
-        let report = simulate(model(seed), cfg, &events).expect("simulate");
+        let report = simulate_one(model(seed), cfg, &events).expect("simulate");
         let live: HashMap<u64, Vec<f32>> = report.outcomes.iter()
             .filter_map(|o| match (&o.id, &o.result) {
                 (Some(id), Ok(r)) => Some((*id, r.output.clone())),
                 _ => None,
             })
             .collect();
-        let mut fresh = model(seed);
-        let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
+        let mut fresh = [model(seed)];
+        let logs = [report.shards[0].log.clone()];
+        let rows = replay_shards(&mut fresh, seed, &retry, &logs).expect("replay");
         prop_assert_eq!(rows.len(), live.len());
         for (id, row) in rows {
             let expected = live.get(&id).expect("live row");

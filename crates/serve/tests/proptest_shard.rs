@@ -8,8 +8,8 @@
 use std::collections::{HashMap, HashSet};
 
 use membit_serve::{
-    replay_shards, simulate_shards, ArrivalEvent, ArrivalKind, ChaosAction, ChaosEvent,
-    ChaosScript, LinearServeModel, RoutePolicy, ServeConfig, ServeError, ServeModel,
+    replay_shards, simulate_shards, ArrivalEvent, ChaosAction, ChaosEvent, ChaosScript,
+    LinearServeModel, RoutePolicy, ServeConfig, ServeError, ServeModel,
 };
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{GuardPolicy, XbarConfig};
@@ -56,10 +56,8 @@ fn schedule(n: usize, gap_ns: u64, seed: u64) -> Vec<ArrivalEvent> {
         t += gap_ns * ((i as u64 % 3) + 1) / 2;
         events.push(ArrivalEvent {
             at_ns: t,
-            kind: ArrivalKind::Request {
-                input: payload(i, seed),
-                deadline_ns: None,
-            },
+            input: payload(i, seed),
+            deadline_ns: None,
         });
     }
     events

@@ -53,7 +53,9 @@ cargo test -q -p membit-xbar --test proptest_nonideal
 
 echo "=== serve suite (queue invariants + threaded chaos replay) ==="
 # conservation, admission monotonicity, zero silent drops, bitwise replay
+# — in both profiles, like the shard suite below
 cargo test -q -p membit-serve --test proptest_serve
+cargo test -q --release -p membit-serve --test proptest_serve
 # live threaded serving over DeviceVgg: chaos + guard escalations must
 # replay bitwise at 1 and 4 engine threads; kill + overload typed
 cargo test -q -p membit-serve --test serve_replay

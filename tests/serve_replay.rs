@@ -1,15 +1,15 @@
-//! End-to-end serving determinism: a live threaded server over a full
-//! `DeviceVgg` deployment — with chaos upsets and guard escalations
-//! mid-serving — must be reproducible **bitwise** from its request log
-//! alone, at any engine thread count; overload must surface as typed
-//! errors, never silent drops.
+//! End-to-end serving determinism: a live threaded server over full
+//! `DeviceVgg` deployments (one shard, or a replicated set) — with chaos
+//! upsets and guard escalations mid-serving — must be reproducible
+//! **bitwise** from its request logs alone, at any engine thread count;
+//! overload must surface as typed errors, never silent drops.
 
 use std::collections::HashMap;
 
 use membit_core::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg};
 use membit_nn::{Params, Vgg, VggConfig};
 use membit_serve::{
-    replay, replay_shards, ChaosAction, ClockMode, RoutePolicy, ServeConfig, ServeError, Server,
+    replay_shards, ChaosAction, ClockMode, RequestLog, RoutePolicy, ServeConfig, ServeError,
     ShardServer,
 };
 use membit_tensor::{Rng, RngStream};
@@ -35,6 +35,21 @@ fn deploy_tiny(seed: u64) -> DeviceVgg {
     .expect("deploy")
 }
 
+/// A single live deployment: a one-shard server.
+fn serve_one(model: DeviceVgg, cfg: ServeConfig) -> ShardServer<DeviceVgg> {
+    ShardServer::start(vec![model], cfg, RoutePolicy::default()).expect("start")
+}
+
+/// Replays a single deployment's log (shard 0 of a one-shard set).
+fn replay_one(
+    model: DeviceVgg,
+    seed: u64,
+    retry: &membit_serve::RetryPolicy,
+    log: &RequestLog,
+) -> Vec<(u64, Vec<f32>)> {
+    replay_shards(&mut [model], seed, retry, std::slice::from_ref(log)).expect("replay")
+}
+
 fn sample(i: usize) -> Vec<f32> {
     (0..3 * 8 * 8)
         .map(|j| (((i * 7 + j) % 9) as f32 / 4.0 - 1.0).clamp(-1.0, 1.0))
@@ -47,14 +62,19 @@ fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
     let mut cfg = ServeConfig::standard(seed);
     cfg.max_batch = 4;
     let retry = cfg.retry;
-    let server = Server::start(deploy_tiny(seed), cfg).expect("start");
+    let server = serve_one(deploy_tiny(seed), cfg);
 
     // interleave requests with mid-serving chaos injections
     let mut handles = Vec::new();
     for i in 0..10 {
         handles.push((i, server.submit(sample(i), None).expect("submit")));
         if i == 3 || i == 7 {
-            server.inject_chaos(0.02).expect("chaos");
+            server
+                .chaos(ChaosAction::Upset {
+                    shard: 0,
+                    rate: 0.02,
+                })
+                .expect("chaos");
         }
     }
     let mut live: HashMap<u64, Vec<f32>> = HashMap::new();
@@ -78,7 +98,7 @@ fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
     for threads in [1usize, 4] {
         let mut fresh = deploy_tiny(seed);
         fresh.set_max_threads(threads).expect("threads");
-        let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
+        let rows = replay_one(fresh, seed, &retry, &report.shards[0].log);
         assert_eq!(rows.len(), 10);
         for (id, row) in rows {
             assert_eq!(
@@ -106,13 +126,18 @@ fn packed_kernel_chaos_serving_replays_bitwise() {
     let mut cfg = ServeConfig::standard(seed);
     cfg.max_batch = 4;
     let retry = cfg.retry;
-    let server = Server::start(deploy_packed(), cfg).expect("start");
+    let server = serve_one(deploy_packed(), cfg);
 
     let mut handles = Vec::new();
     for i in 0..10 {
         handles.push((i, server.submit(sample(i), None).expect("submit")));
         if i == 3 || i == 7 {
-            server.inject_chaos(0.02).expect("chaos");
+            server
+                .chaos(ChaosAction::Upset {
+                    shard: 0,
+                    rate: 0.02,
+                })
+                .expect("chaos");
         }
     }
     let mut live: HashMap<u64, Vec<f32>> = HashMap::new();
@@ -129,7 +154,7 @@ fn packed_kernel_chaos_serving_replays_bitwise() {
     for threads in [1usize, 4] {
         let mut fresh = deploy_packed();
         fresh.set_max_threads(threads).expect("threads");
-        let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
+        let rows = replay_one(fresh, seed, &retry, &report.shards[0].log);
         assert_eq!(rows.len(), 10);
         for (id, row) in rows {
             assert_eq!(
@@ -148,7 +173,7 @@ fn kill_and_replay_reproduces_completed_responses() {
     cfg.max_batch = 1;
     cfg.block_align = 1;
     let retry = cfg.retry;
-    let server = Server::start(deploy_tiny(seed), cfg).expect("start");
+    let server = serve_one(deploy_tiny(seed), cfg);
     let handles: Vec<_> = (0..8)
         .map(|i| server.submit(sample(i), None).expect("submit"))
         .collect();
@@ -170,8 +195,7 @@ fn kill_and_replay_reproduces_completed_responses() {
     assert_eq!(cancelled, report.stats.cancelled);
     assert_eq!(live.len() as u64, report.stats.completed);
 
-    let mut fresh = deploy_tiny(seed);
-    let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
+    let rows = replay_one(deploy_tiny(seed), seed, &retry, &report.shards[0].log);
     assert_eq!(rows.len(), live.len());
     for (id, row) in rows {
         assert_eq!(
@@ -268,7 +292,7 @@ fn monotonic_clock_expires_on_wall_time_and_replays_bitwise() {
     // generous wall deadline for real work (10 s in ns)
     cfg.default_deadline_ns = 10_000_000_000;
     let retry = cfg.retry;
-    let server = Server::start(deploy_tiny(seed), cfg).expect("start");
+    let server = serve_one(deploy_tiny(seed), cfg);
 
     // a 1 ns wall budget is over before any batch can pick it up
     let doomed = server.submit(sample(0), Some(1)).expect("submit");
@@ -292,8 +316,7 @@ fn monotonic_clock_expires_on_wall_time_and_replays_bitwise() {
 
     // replay always follows the logged virtual timeline: the wall-clock
     // mode changes which requests expire, never any response bits
-    let mut fresh = deploy_tiny(seed);
-    let rows = replay(&mut fresh, seed, &retry, &report.log).expect("replay");
+    let rows = replay_one(deploy_tiny(seed), seed, &retry, &report.shards[0].log);
     assert_eq!(rows.len(), live.len());
     for (id, row) in rows {
         assert_eq!(
@@ -311,7 +334,7 @@ fn overload_surfaces_typed_errors_not_silent_drops() {
     cfg.queue_capacity = 2;
     cfg.max_batch = 1;
     cfg.block_align = 1;
-    let server = Server::start(deploy_tiny(seed), cfg).expect("start");
+    let server = serve_one(deploy_tiny(seed), cfg);
     let mut handles = Vec::new();
     let mut rejected = 0u64;
     for i in 0..24 {
@@ -335,4 +358,36 @@ fn overload_surfaces_typed_errors_not_silent_drops() {
     assert_eq!(report.stats.rejected_queue_full, rejected);
     // zero silent drops: every submission is a response or a typed error
     assert_eq!(accepted + rejected, 24);
+}
+
+#[test]
+fn paced_bursts_never_reject_an_accepted_submit() {
+    // bursts of two into a two-slot queue, paced so the scheduler is
+    // mid-batch when the next burst arrives: admission must count the
+    // requests the scheduler has pulled but not yet routed, or an
+    // accepted submit comes back QueueFull through its handle
+    let seed = 11;
+    let mut cfg = ServeConfig::standard(seed);
+    cfg.queue_capacity = 2;
+    cfg.max_batch = 1;
+    cfg.block_align = 1;
+    let server = serve_one(deploy_tiny(seed), cfg);
+    let mut handles = Vec::new();
+    for burst in 0..20 {
+        for i in 0..2 {
+            match server.submit(sample(burst * 2 + i), None) {
+                Ok(h) => handles.push(h),
+                Err(ServeError::QueueFull { .. }) => {}
+                Err(e) => panic!("unexpected rejection: {e}"),
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_micros(300));
+    }
+    let accepted = handles.len() as u64;
+    for h in handles {
+        h.wait().expect("accepted requests complete");
+    }
+    let report = server.shutdown().expect("shutdown");
+    assert!(report.stats.accounted(), "{:?}", report.stats);
+    assert_eq!(report.stats.completed, accepted);
 }
