@@ -11,7 +11,7 @@ use crate::noise::NoiseSpec;
 use crate::nonideal::NonIdealitySpec;
 use crate::program::{ProgramStats, WriteVerify};
 use crate::remap::{remap_tile, RecoveryPolicy, RemapReport};
-use crate::tile::{MvmKernel, StripPlanes, Tile};
+use crate::tile::{StripPlanes, Tile};
 use crate::Result;
 
 /// Host-side execution options: how programming and pulse execution fan
@@ -21,6 +21,9 @@ use crate::Result;
 /// (see [`Rng::substream`]), so results are **bitwise identical for every
 /// `max_threads` / `samples_per_thread` setting** — these knobs trade
 /// wall clock only, never reproducibility.
+///
+/// The inner loop is not an option: the engine picks it per train and
+/// per tile (see [`CrossbarLinear::execute`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Upper bound on worker threads (1 = single-threaded).
@@ -28,16 +31,6 @@ pub struct ExecOptions {
     /// Minimum input vectors per worker; small batches stay
     /// single-threaded to avoid spawn overhead.
     pub samples_per_thread: usize,
-    /// Which tile MVM kernel executes pulses. [`MvmKernel::Cached`] (the
-    /// default) additionally unlocks the incremental pulse-delta schedule
-    /// for [nested-unary](membit_encoding::TrainKind::NestedUnary) trains;
-    /// [`MvmKernel::Packed`] runs the bit-packed popcount inner loop on
-    /// eligible tiles (see [`CrossbarLinear::packed_ready`]) and
-    /// downgrades per tile to the cached loop otherwise;
-    /// [`MvmKernel::Reference`] is the escape hatch for differential
-    /// testing and debugging. All three are bitwise identical for ±1/0
-    /// pulses.
-    pub kernel: MvmKernel,
 }
 
 impl Default for ExecOptions {
@@ -47,7 +40,6 @@ impl Default for ExecOptions {
                 .map(|n| n.get())
                 .unwrap_or(1),
             samples_per_thread: 2,
-            kernel: MvmKernel::Cached,
         }
     }
 }
@@ -59,7 +51,6 @@ impl ExecOptions {
         Self {
             max_threads: 1,
             samples_per_thread: usize::MAX,
-            kernel: MvmKernel::Cached,
         }
     }
 
@@ -69,12 +60,6 @@ impl ExecOptions {
             max_threads,
             ..Self::default()
         }
-    }
-
-    /// These options with the given MVM kernel.
-    pub fn with_kernel(mut self, kernel: MvmKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// Validates the options.
@@ -272,6 +257,9 @@ pub struct CrossbarLinear {
     /// Set when the guard's escalation ladder ran out of hardware
     /// remedies: this layer permanently serves the digital fallback.
     degraded: bool,
+    /// Set only by [`reference_oracle`](Self::reference_oracle): every
+    /// pulse and guard retry runs the per-cell reference loop.
+    reference: bool,
 }
 
 impl CrossbarLinear {
@@ -396,6 +384,7 @@ impl CrossbarLinear {
             program_stats,
             recovery: None,
             degraded: false,
+            reference: false,
         })
     }
 
@@ -441,22 +430,25 @@ impl CrossbarLinear {
         Ok(())
     }
 
-    /// Switches the tile MVM kernel for subsequent executions. For ±1/0
-    /// pulse trains every kernel is bitwise identical (the packed kernel
-    /// downgrades per tile when its exactness preconditions fail), so a
-    /// live deployment can be re-pointed at a faster inner loop without
-    /// perturbing reproducibility — the serving replay contract survives
-    /// the switch.
-    pub fn set_kernel(&mut self, kernel: MvmKernel) {
-        self.config.exec.kernel = kernel;
+    /// A copy of this operator — same tiles, same noise substreams — whose
+    /// every pulse and every guard retry runs the dense per-cell
+    /// reference loop ([`Tile::mvm_reference`]), recomputing each cell's
+    /// weight from raw conductances. It is the differential oracle for
+    /// the engine's own execution: bitwise equal on ±1/0 trains that take
+    /// the dense schedule, within 1e-5 relative on count-backed trains,
+    /// whose delta schedule re-associates the sums.
+    pub fn reference_oracle(&self) -> CrossbarLinear {
+        Self {
+            reference: true,
+            ..self.clone()
+        }
     }
 
-    /// Whether **every** tile of this operator satisfies the packed
-    /// kernel's exactness preconditions (uniform weight magnitude — and,
+    /// Whether **every** tile of this operator satisfies the popcount
+    /// path's exactness preconditions (uniform weight magnitude — and,
     /// on c2c-noisy devices, uniform per-cell `G⁺²+G⁻²` — with exactly
-    /// representable multiples; see [`Tile::packed_ready`]). When
-    /// `false`, [`MvmKernel::Packed`] still executes correctly but some
-    /// tiles serve the cached loop.
+    /// representable multiples; see [`Tile::packed_ready`]). Tiles that
+    /// fail them run the cached loop, with bitwise the same results.
     pub fn packed_ready(&self) -> bool {
         let need_c2c = self.config.noise.device.c2c_sigma > 0.0;
         self.tiles
@@ -467,6 +459,15 @@ impl CrossbarLinear {
 
     /// Executes a pulse train of input vectors (`[N, in]` per pulse),
     /// returning decoded outputs `[N, out]`.
+    ///
+    /// The engine picks the inner loop. A count-backed train
+    /// ([`PulseTrain::high_counts`]) runs the incremental pulse-delta
+    /// schedule, within 1e-5 of the reference loop. Every other train
+    /// runs the dense schedule: per row strip and pulse, the ±1/0 drive
+    /// planes are packed once when some tile of the strip is
+    /// [`packed_ready`](Tile::packed_ready); those tiles run the popcount
+    /// path and the rest the cached loop, both bitwise equal to the
+    /// reference loop for ±1/0 drives.
     ///
     /// # Errors
     ///
@@ -782,7 +783,15 @@ impl CrossbarLinear {
                 let mut rng = base
                     .substream(&key)
                     .substream(&[RETRY_STREAM_TAG, attempt]);
-                tile.mvm_with(x, noise, &mut rng, retry_buf, self.config.exec.kernel)?;
+                tile.mvm_batch_dense(
+                    x,
+                    trows,
+                    0,
+                    noise,
+                    std::slice::from_mut(&mut rng),
+                    retry_buf,
+                    self.reference,
+                );
                 if let Some(a) = adc {
                     a.convert_slice(retry_buf);
                     stats.adc_conversions += tcols as u64;
@@ -846,22 +855,11 @@ impl CrossbarLinear {
         ablock: &mut [f32],
         viol: &mut [u64],
     ) -> Result<ExecutionStats> {
-        // Kernel × schedule compatibility — explicit, never a silent
-        // wrong-result path:
-        //   - Cached + NestedUnary takes the incremental pulse-delta
-        //     schedule, driven by the train's high counts (bitwise equal
-        //     to the dense schedule; the delta path maintains a running
-        //     f32 pre-sign accumulator that only the scalar cached loop
-        //     can update sparsely).
-        //   - Packed + NestedUnary deliberately takes the generic dense
-        //     path below: a schedule downgrade, not a kernel one — each
-        //     pulse still runs the popcount accumulation on eligible
-        //     tiles, and outputs stay bitwise equal to Reference (see
-        //     `packed_kernel_runs_nested_unary_dense_and_bitwise`).
-        //   - Reference (the differential oracle) and every non-nested
-        //     train also take the dense path. It reads `train.iter()`,
-        //     which materializes a count-backed train's pulses once.
-        if let (MvmKernel::Cached, Some(counts)) = (self.config.exec.kernel, train.high_counts()) {
+        // The engine's rule (see `execute`): count-backed trains take the
+        // delta schedule unless this is the reference oracle; the dense
+        // schedule below reads `train.iter()`, which materializes a
+        // count-backed train's pulses once.
+        if let (false, Some(counts)) = (self.reference, train.high_counts()) {
             let np = train.num_pulses();
             return self.execute_block_delta(counts, np, base, s0, ablock, viol);
         }
@@ -871,14 +869,7 @@ impl CrossbarLinear {
         let mut out_buf = vec![0.0f32; nb * self.config.tile_cols];
         let mut retry_buf = vec![0.0f32; self.config.tile_cols];
         let mut rngs: Vec<Rng> = Vec::with_capacity(nb);
-        // Strip-level bit-plane reuse (Packed only): every column tile of
-        // a row strip reads the same input rows, so the pulse's planes
-        // are packed once per strip and shared — bitwise neutral because
-        // `mvm_batch_prepacked` is the packed batch path minus the
-        // redundant re-pack. Ineligible tiles (or unpackable strips:
-        // fractional drives) fall back to `mvm_batch`, which downgrades
-        // exactly as before.
-        let strip_pack = self.config.exec.kernel == MvmKernel::Packed;
+        let need_c2c = self.config.noise.device.c2c_sigma > 0.0;
         let mut planes = StripPlanes::default();
         let mut out_t: Vec<f32> = Vec::new();
         for (pi, (pulse_weight, pulse)) in train.iter().enumerate() {
@@ -886,10 +877,13 @@ impl CrossbarLinear {
             let xs = &px[s0 * self.in_features..(s0 + nb) * self.in_features];
             stats.pulses += nb as u64;
             for (ri, &r0) in self.row_starts.iter().enumerate() {
-                let strip_ok = strip_pack && {
-                    let strip_rows = self.tiles[ri][0].dims().0;
-                    planes.pack(xs, self.in_features, r0, strip_rows, nb)
-                };
+                // a strip where some tile can take the popcount path packs
+                // its drive planes once, shared by its column tiles; a tile
+                // whose verdict fails (or an unpackable strip: fractional
+                // drives) runs the cached loop instead
+                let strip_ok = !self.reference
+                    && self.tiles[ri].iter().any(|t| t.packed_ready(need_c2c))
+                    && planes.pack(xs, self.in_features, r0, self.tiles[ri][0].dims().0, nb);
                 for (ci, &c0) in self.col_starts.iter().enumerate() {
                     let tile = &self.tiles[ri][ci];
                     let (trows, tcols) = tile.dims();
@@ -907,15 +901,15 @@ impl CrossbarLinear {
                             &mut out_t,
                         );
                     if !prepacked {
-                        tile.mvm_batch(
+                        tile.mvm_batch_dense(
                             xs,
                             self.in_features,
                             r0,
                             &self.config.noise,
                             &mut rngs,
                             out,
-                            self.config.exec.kernel,
-                        )?;
+                            self.reference,
+                        );
                     }
                     stats.tile_mvms += nb as u64;
                     stats.cell_reads += (nb * trows * tcols) as u64;
@@ -973,10 +967,9 @@ impl CrossbarLinear {
     }
 
     /// The incremental-pulse fast path of
-    /// [`execute_block`](Self::execute_block), taken for
-    /// [nested-unary](membit_encoding::TrainKind::NestedUnary) trains under
-    /// [`MvmKernel::Cached`], driven by the train's per-element high
-    /// counts (`counts`, row-major `[N, in_features]`, over `np` pulses):
+    /// [`execute_block`](Self::execute_block), taken for count-backed
+    /// [nested-unary](membit_encoding::TrainKind::NestedUnary) trains,
+    /// driven by the train's per-element high counts (`counts`, row-major `[N, in_features]`, over `np` pulses):
     /// per `(tile, sample)`, pulse 0 is one dense cached-weight
     /// accumulation and every later pulse `i` only re-visits the rows
     /// that switch `+1 → −1` there, those with `count == i` —
@@ -1522,16 +1515,19 @@ mod tests {
         assert!((xbar.measure_decay(32, &mut rng) - 1.0).abs() < 1e-6);
     }
 
-    /// Two engines with identical hardware (same programming seed) that
-    /// differ only in the configured MVM kernel.
-    fn kernel_pair(mut cfg: XbarConfig, w: &Tensor, seed: u64) -> (CrossbarLinear, CrossbarLinear) {
-        cfg.exec.kernel = MvmKernel::Cached;
-        let mut rng_c = Rng::from_seed(seed);
-        let cached = CrossbarLinear::program(w, &cfg, &mut rng_c).unwrap();
-        cfg.exec.kernel = MvmKernel::Reference;
-        let mut rng_r = Rng::from_seed(seed);
-        let reference = CrossbarLinear::program(w, &cfg, &mut rng_r).unwrap();
-        (cached, reference)
+    /// An engine and its reference oracle: identical hardware, one
+    /// running the engine's pick of inner loop, the other the per-cell
+    /// reference loop.
+    fn kernel_pair(cfg: XbarConfig, w: &Tensor, seed: u64) -> (CrossbarLinear, CrossbarLinear) {
+        let engine = CrossbarLinear::program(w, &cfg, &mut Rng::from_seed(seed)).unwrap();
+        let oracle = engine.reference_oracle();
+        (engine, oracle)
+    }
+
+    /// The same pulses as `train` without its high counts, so the engine
+    /// runs them on the dense schedule.
+    fn dense(train: &PulseTrain) -> PulseTrain {
+        PulseTrain::new(train.pulses().to_vec(), train.weights().to_vec()).unwrap()
     }
 
     #[test]
@@ -1583,30 +1579,29 @@ mod tests {
 
     #[test]
     fn packed_kernel_runs_nested_unary_dense_and_bitwise() {
-        // regression for the explicit kernel × schedule rules: Packed +
-        // NestedUnary must take the generic dense path (the delta
-        // schedule is Cached-only) and still be bitwise Reference.
-        // Cached's delta schedule accumulates in a different order and
-        // may drift ~1 ULP from the dense path, so Packed is compared to
-        // it only approximately. Tiling + c2c noise keep all paths honest.
+        // a thermometer train's pulses without their high counts take the
+        // dense schedule, where a rails deployment runs the popcount path
+        // on every tile: bitwise the reference oracle. The count-backed
+        // train itself takes the delta schedule, which re-associates the
+        // accumulation, so it is compared only within tolerance. Tiling +
+        // c2c noise keep all paths honest.
         let mut cfg = XbarConfig::functional(0.4);
         cfg.tile_rows = 16;
         cfg.tile_cols = 8;
         cfg.noise.device.c2c_sigma = 0.02;
         cfg.noise.device.on_off_ratio = 20.0;
         let w = random_pm1(&[20, 33], 48);
-        let (cached, reference) = kernel_pair(cfg, &w, 49);
-        let mut packed = cached.clone();
-        packed.set_kernel(MvmKernel::Packed);
-        assert_eq!(packed.config().exec.kernel, MvmKernel::Packed);
-        assert!(packed.packed_ready(), "rails deployment must pack");
+        let (engine, oracle) = kernel_pair(cfg, &w, 49);
+        assert!(engine.packed_ready(), "rails deployment must pack");
         let x = random_pm1(&[3, 33], 50);
         let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
         assert_eq!(train.kind(), membit_encoding::TrainKind::NestedUnary);
-        let (y_p, stats_p) = packed
-            .execute_with_stats(&train, &mut Rng::from_seed(51))
+        let pulses = dense(&train);
+        assert!(pulses.high_counts().is_none());
+        let (y_p, stats_p) = engine
+            .execute_with_stats(&pulses, &mut Rng::from_seed(51))
             .unwrap();
-        let (y_r, stats_r) = reference
+        let (y_r, stats_r) = oracle
             .execute_with_stats(&train, &mut Rng::from_seed(51))
             .unwrap();
         assert_eq!(
@@ -1616,10 +1611,60 @@ mod tests {
         );
         // modeled hardware events must match the reference schedule
         assert_eq!(stats_p, stats_r);
-        let y_c = cached.execute(&train, &mut Rng::from_seed(51)).unwrap();
+        let y_c = engine.execute(&train, &mut Rng::from_seed(51)).unwrap();
         for (p, c) in y_p.as_slice().iter().zip(y_c.as_slice()) {
             // delta schedule reorders the accumulation: near, not bitwise
             assert!((p - c).abs() <= 1e-4 * p.abs().max(1.0), "{p} vs {c}");
+        }
+    }
+
+    #[test]
+    fn strip_mixes_prepacked_and_cached_tiles_bitwise() {
+        // one upset on a c2c-noisy rails deployment breaks a single
+        // tile's variance verdict: its strip still packs its drive planes
+        // for the other tiles, so one strip runs both the popcount path
+        // and the cached loop. A dense train must stay bitwise equal to
+        // the oracle, at 1 and 4 threads.
+        let mut cfg = XbarConfig::functional(0.3);
+        cfg.tile_rows = 16;
+        cfg.tile_cols = 8;
+        cfg.noise.device.c2c_sigma = 0.02;
+        cfg.noise.device.on_off_ratio = 20.0;
+        let w = random_pm1(&[20, 33], 100);
+        let (mut engine, _) = kernel_pair(cfg, &w, 101);
+        // drop the ON cell of weight (out 2, in 3) to G_off
+        let side = if w.get(&[2, 3]) > 0.0 {
+            CellSide::Pos
+        } else {
+            CellSide::Neg
+        };
+        engine.upset_cell(3, 2, side, false).unwrap();
+        assert!(
+            !engine.tiles[0][0].packed_ready(true),
+            "upset must break the verdict"
+        );
+        assert!(engine.tiles[0][1..].iter().all(|t| t.packed_ready(true)));
+        assert!(engine.tiles[1..]
+            .iter()
+            .flatten()
+            .all(|t| t.packed_ready(true)));
+        let x = random_pm1(&[8, 33], 102);
+        let train = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
+        let oracle = engine.reference_oracle();
+        let (y_ref, s_ref) = oracle
+            .execute_with_stats(&train, &mut Rng::from_seed(103))
+            .unwrap();
+        for threads in [1usize, 4] {
+            let mut run = engine.clone();
+            run.config.exec = ExecOptions {
+                max_threads: threads,
+                samples_per_thread: 1,
+            };
+            let (y, s) = run
+                .execute_with_stats(&train, &mut Rng::from_seed(103))
+                .unwrap();
+            assert_eq!(y.as_slice(), y_ref.as_slice(), "{threads} threads");
+            assert_eq!(s, s_ref);
         }
     }
 
@@ -1632,14 +1677,12 @@ mod tests {
         cfg.tile_rows = 16;
         cfg.tile_cols = 8;
         let w = random_pm1(&[20, 33], 52);
-        let (cached, reference) = kernel_pair(cfg, &w, 53);
-        let mut packed = cached.clone();
-        packed.set_kernel(MvmKernel::Packed);
-        assert!(!packed.packed_ready(), "d2d deployment must not pack");
+        let (engine, oracle) = kernel_pair(cfg, &w, 53);
+        assert!(!engine.packed_ready(), "d2d deployment must not pack");
         let x = random_pm1(&[2, 33], 54);
         let train = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
-        let y_p = packed.execute(&train, &mut Rng::from_seed(55)).unwrap();
-        let y_r = reference.execute(&train, &mut Rng::from_seed(55)).unwrap();
+        let y_p = engine.execute(&train, &mut Rng::from_seed(55)).unwrap();
+        let y_r = oracle.execute(&train, &mut Rng::from_seed(55)).unwrap();
         assert_eq!(y_p.as_slice(), y_r.as_slice());
     }
 

@@ -10,43 +10,6 @@ use crate::noise::NoiseSpec;
 use crate::program::{program_cell_verified_with_health, ProgramStats, WriteVerify};
 use crate::Result;
 
-/// Which inner loop an analog MVM runs.
-///
-/// All kernels compute the same model; [`Cached`](MvmKernel::Cached) is
-/// the production scalar fast path, [`Packed`](MvmKernel::Packed) the
-/// bit-parallel popcount path, and [`Reference`](MvmKernel::Reference)
-/// the original per-cell formulation kept for differential testing. For
-/// binary (±1/0) inputs all three are **bitwise identical**: the cache
-/// stores exactly `(G⁺−G⁻)·attenuation/(G_on−G_off)` per cell,
-/// multiplying that by ±1 is exact, and the packed kernel only engages
-/// when its integer reconstruction provably reproduces the sequential
-/// f32 accumulation bit for bit (see [`Tile::packed_ready`]) — otherwise
-/// it downgrades to the cached loop for that tile, never to a silently
-/// different result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MvmKernel {
-    /// Accumulate rows of the pre-materialized effective-weight matrix —
-    /// one multiply-add per active cell instead of a subtract, two
-    /// multiplies, and a divide.
-    #[default]
-    Cached,
-    /// Recompute `x·(G⁺−G⁻)·att/denom` from raw conductances per cell
-    /// per pulse.
-    Reference,
-    /// Bit-packed popcount accumulation: weight signs/activity and input
-    /// sign/valid planes live in `u64` words, one pulse column is a
-    /// handful of `AND`/`XOR` + `count_ones`, and the pre-noise sum is
-    /// reconstructed exactly as `(pos − neg)·c`. Engages per tile only
-    /// when every nonzero `|w_eff|` equals one uniform scale whose
-    /// integer multiples are exactly representable (rail-programmed
-    /// devices: no d2d spread, no IR drop, no partial drift); otherwise
-    /// the call downgrades to [`Cached`](MvmKernel::Cached), which is
-    /// itself bitwise-Reference for ±1/0 inputs. Noise is added by the
-    /// same keyed substreams afterwards, so draw order, the guard
-    /// column, and thread-count determinism are untouched.
-    Packed,
-}
-
 /// Derived per-cell quantities the reference kernel recomputes on every
 /// pulse, materialized once per programming event. Maintained **eagerly**:
 /// every `Tile` mutator rebuilds or patches it before returning, so a
@@ -69,14 +32,15 @@ struct WeightCache {
     /// summation keeps it bitwise equal to the reference kernel's
     /// accumulated scratch.
     col_sq: Vec<f32>,
-    /// Bit planes + uniform scales for [`MvmKernel::Packed`], rebuilt by
+    /// Bit planes + uniform scales for the popcount path, rebuilt by
     /// the same two hooks (`rebuild_cache` / `rebuild_cache_col`) every
     /// mutator already calls — plane staleness is impossible for exactly
     /// the reason cache staleness is.
     packed: PackedPlanes,
 }
 
-/// Derived bit-plane state for [`MvmKernel::Packed`].
+/// Derived bit-plane state for the popcount path
+/// ([`Tile::mvm_batch_prepacked`]).
 ///
 /// Layout: planes are **column-major** — column `j` owns words
 /// `j·words..(j+1)·words`, and bit `r % 64` of word `r / 64` covers row
@@ -105,27 +69,12 @@ struct PackedPlanes {
     active_count: Vec<u32>,
     /// The uniform nonzero weight magnitude `c` passing the exactness
     /// check, or `None` when weights are heterogeneous (d2d spread, IR
-    /// drop, partial drift) — the packed kernel then downgrades to
-    /// [`MvmKernel::Cached`] for this tile.
+    /// drop, partial drift) — the tile then runs the cached loop.
     scale: Option<f32>,
     /// The uniform per-cell `G⁺²+G⁻²` passing the exactness check,
     /// required over **all** cells (zero-weight pairs still contribute
-    /// read noise), or `None` — c2c-noisy MVMs then downgrade.
+    /// read noise), or `None` — c2c-noisy MVMs then run the cached loop.
     c2c_scale: Option<f32>,
-}
-
-/// Per-call scratch for the packed kernel's input planes, hoisted by
-/// batched entry points so packing never allocates in the pulse loop.
-/// For the sample-blocked batch path, `sign`/`valid` hold all samples'
-/// planes sample-major, `driven` the per-sample driven-row counts, and
-/// `out_t` the column-major staging buffer the hot loop writes
-/// sequentially before the per-sample transpose.
-#[derive(Debug, Default)]
-pub struct PackScratch {
-    sign: Vec<u64>,
-    valid: Vec<u64>,
-    driven: Vec<u32>,
-    out_t: Vec<f32>,
 }
 
 /// Pre-packed input bit planes for one `(pulse, row-strip)` of a sample
@@ -133,13 +82,12 @@ pub struct PackScratch {
 ///
 /// All tiles in a row strip read the *same* input rows, so the engine
 /// packs each pulse's drive vectors once per strip and hands the planes
-/// to [`Tile::mvm_batch_prepacked`] for each column tile — instead of
-/// every tile re-running [`pack_pulse`] on identical data. The planes
-/// are exactly what `mvm_batch`'s internal packed path would have built
-/// (same `pack_pulse`, same sample-major layout), so reuse is bitwise
-/// neutral by construction.
+/// to [`Tile::mvm_batch_prepacked`] for each eligible column tile —
+/// instead of every tile re-running [`pack_pulse`] on identical data.
+/// [`Tile::mvm_batch`] packs one of these per call for its single tile,
+/// so both callers share one popcount path.
 #[derive(Debug, Default)]
-pub struct StripPlanes {
+pub(crate) struct StripPlanes {
     /// Sample-major sign planes: sample `s` owns words
     /// `s·words..(s+1)·words`.
     sign: Vec<u64>,
@@ -160,9 +108,15 @@ impl StripPlanes {
     /// `stride`, rows `offset..offset + rows` of each. Returns `false` —
     /// leaving the planes unusable for this strip — when any element is
     /// not exactly `±1`/`0` (fractional drives are not representable in
-    /// one bit; callers then fall back to [`Tile::mvm_batch`], which
-    /// downgrades identically).
-    pub fn pack(&mut self, xs: &[f32], stride: usize, offset: usize, rows: usize, n: usize) -> bool {
+    /// one bit; callers then run the cached loop).
+    pub(crate) fn pack(
+        &mut self,
+        xs: &[f32],
+        stride: usize,
+        offset: usize,
+        rows: usize,
+        n: usize,
+    ) -> bool {
         self.sign.clear();
         self.valid.clear();
         self.driven.clear();
@@ -275,129 +229,6 @@ fn pack_pulse(x: &[f32], sign: &mut Vec<u64>, valid: &mut Vec<u64>) -> Option<u3
     Some(driven)
 }
 
-/// The popcount hot loop, full-drive case: every row carries ±1, so
-/// `act == active` and the act popcount is the plane's precomputed
-/// per-column count — one hardware popcount per word.
-///
-/// `pos − neg = act_count − 2·popcount(act & (sign ^ sign_x))`: the XOR
-/// marks negative products, the AND restricts to active cells.
-#[inline(always)]
-fn packed_columns_full_inner(p: &PackedPlanes, xsign: &[u64], out: &mut [f32], c: f32) {
-    // dispatch on the word count so the per-column word walk fully
-    // unrolls for the common tile heights (≤64, ≤128, ≤256 rows): with a
-    // runtime trip count the zip machinery costs more than the popcounts
-    match p.words.max(1) {
-        1 => packed_columns_full_const::<1>(p, xsign, out, c),
-        2 => packed_columns_full_const::<2>(p, xsign, out, c),
-        4 => packed_columns_full_const::<4>(p, xsign, out, c),
-        w => packed_columns_full_dyn(p, xsign, out, c, w),
-    }
-}
-
-#[inline(always)]
-fn packed_columns_full_const<const W: usize>(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    out: &mut [f32],
-    c: f32,
-) {
-    let sx: &[u64; W] = xsign[..W].try_into().expect("pulse plane width");
-    for ((o, (sign, active)), &count) in out
-        .iter_mut()
-        .zip(p.sign.chunks_exact(W).zip(p.active.chunks_exact(W)))
-        .zip(&p.active_count)
-    {
-        let mut neg = 0u32;
-        for k in 0..W {
-            neg += (active[k] & (sign[k] ^ sx[k])).count_ones();
-        }
-        *o = (count as i32 - 2 * neg as i32) as f32 * c;
-    }
-}
-
-#[inline(always)]
-fn packed_columns_full_dyn(p: &PackedPlanes, xsign: &[u64], out: &mut [f32], c: f32, words: usize) {
-    for ((o, (sign, active)), &count) in out
-        .iter_mut()
-        .zip(p.sign.chunks_exact(words).zip(p.active.chunks_exact(words)))
-        .zip(&p.active_count)
-    {
-        let mut neg = 0u32;
-        for ((&s, &a), &sx) in sign.iter().zip(active).zip(xsign) {
-            neg += (a & (s ^ sx)).count_ones();
-        }
-        *o = (count as i32 - 2 * neg as i32) as f32 * c;
-    }
-}
-
-/// The popcount hot loop, partial-drive case: undriven rows are masked
-/// out per word via the pulse's valid plane, and the act popcount is
-/// computed live.
-#[inline(always)]
-fn packed_columns_masked_inner(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    xvalid: &[u64],
-    out: &mut [f32],
-    c: f32,
-) {
-    match p.words.max(1) {
-        1 => packed_columns_masked_const::<1>(p, xsign, xvalid, out, c),
-        2 => packed_columns_masked_const::<2>(p, xsign, xvalid, out, c),
-        4 => packed_columns_masked_const::<4>(p, xsign, xvalid, out, c),
-        w => packed_columns_masked_dyn(p, xsign, xvalid, out, c, w),
-    }
-}
-
-#[inline(always)]
-fn packed_columns_masked_const<const W: usize>(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    xvalid: &[u64],
-    out: &mut [f32],
-    c: f32,
-) {
-    let sx: &[u64; W] = xsign[..W].try_into().expect("pulse plane width");
-    let vx: &[u64; W] = xvalid[..W].try_into().expect("pulse plane width");
-    for (o, (sign, active)) in out
-        .iter_mut()
-        .zip(p.sign.chunks_exact(W).zip(p.active.chunks_exact(W)))
-    {
-        let mut act_count = 0u32;
-        let mut neg = 0u32;
-        for k in 0..W {
-            let act = active[k] & vx[k];
-            act_count += act.count_ones();
-            neg += (act & (sign[k] ^ sx[k])).count_ones();
-        }
-        *o = (act_count as i32 - 2 * neg as i32) as f32 * c;
-    }
-}
-
-#[inline(always)]
-fn packed_columns_masked_dyn(
-    p: &PackedPlanes,
-    xsign: &[u64],
-    xvalid: &[u64],
-    out: &mut [f32],
-    c: f32,
-    words: usize,
-) {
-    for (o, (sign, active)) in out
-        .iter_mut()
-        .zip(p.sign.chunks_exact(words).zip(p.active.chunks_exact(words)))
-    {
-        let mut act_count = 0u32;
-        let mut neg = 0u32;
-        for (((&s, &a), &sx), &v) in sign.iter().zip(active).zip(xsign).zip(xvalid) {
-            let act = a & v;
-            act_count += act.count_ones();
-            neg += (act & (s ^ sx)).count_ones();
-        }
-        *o = (act_count as i32 - 2 * neg as i32) as f32 * c;
-    }
-}
-
 // NB: `u64::count_ones` only compiles to the single-cycle `popcnt`
 // instruction when the target feature is enabled; the x86-64 *baseline*
 // lacks it, falling back to a ~15-op bithack that erases most of the
@@ -405,7 +236,7 @@ fn packed_columns_masked_dyn(
 // `-C target-feature=+popcnt` on x86-64 (universal on hardware since
 // 2008, and purely integer codegen — float results are untouched).
 
-/// The sample-blocked popcount loop for [`Tile::mvm_batch`], full-drive
+/// The sample-blocked popcount loop of [`Tile::mvm_batch_prepacked`], full-drive
 /// case: column-outer so each column's plane words load once and stay in
 /// registers across the whole sample block, with the per-column results
 /// staged column-major in `out_t` (`cols × n`) so the inner loop writes
@@ -585,7 +416,7 @@ pub struct Tile {
     /// Per-cell IR-drop attenuation (all 1.0 when disabled), row-major.
     attenuation: Vec<f32>,
     device: DeviceModel,
-    /// Always-valid derived state for [`MvmKernel::Cached`].
+    /// Always-valid derived state for the cached and popcount loops.
     cache: WeightCache,
     /// ABFT checksum snapshot; `None` until the engine arms the tile.
     guard: Option<GuardColumn>,
@@ -933,28 +764,44 @@ impl Tile {
     ///
     /// `noise.output_sigma` Gaussian noise is added per column;
     /// cycle-to-cycle read noise perturbs every cell independently.
+    /// Runs the cached loop: for ±1/0 drives it is bitwise equal to
+    /// [`mvm_reference`](Self::mvm_reference), and to the popcount path
+    /// wherever that path could engage.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] on slice-length
     /// mismatches.
     pub fn mvm(&self, x: &[f32], noise: &NoiseSpec, rng: &mut Rng, out: &mut [f32]) -> Result<()> {
-        self.mvm_with(x, noise, rng, out, MvmKernel::default())
+        self.mvm_single(x, noise, rng, out, false)
     }
 
-    /// [`mvm`](Self::mvm) with an explicit [`MvmKernel`] choice.
+    /// [`mvm`](Self::mvm) through the original per-cell formulation,
+    /// which recomputes `x·(G⁺−G⁻)·att/denom` from raw conductances on
+    /// every call and so cannot see a stale cache or stale bit planes.
+    /// The differential-test oracle: same noise draws in the same order.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] on slice-length
     /// mismatches.
-    pub fn mvm_with(
+    pub fn mvm_reference(
         &self,
         x: &[f32],
         noise: &NoiseSpec,
         rng: &mut Rng,
         out: &mut [f32],
-        kernel: MvmKernel,
+    ) -> Result<()> {
+        self.mvm_single(x, noise, rng, out, true)
+    }
+
+    fn mvm_single(
+        &self,
+        x: &[f32],
+        noise: &NoiseSpec,
+        rng: &mut Rng,
+        out: &mut [f32],
+        reference: bool,
     ) -> Result<()> {
         if x.len() != self.rows || out.len() != self.cols {
             return Err(TensorError::InvalidArgument(format!(
@@ -965,10 +812,15 @@ impl Tile {
                 out.len()
             )));
         }
-        let c2c = self.device.c2c_sigma > 0.0;
-        let mut c2c_var = vec![0.0f32; if c2c { self.cols } else { 0 }];
-        let mut scratch = PackScratch::default();
-        self.mvm_kernel(kernel, x, noise, rng, out, &mut c2c_var, &mut scratch);
+        self.mvm_batch_dense(
+            x,
+            self.rows,
+            0,
+            noise,
+            std::slice::from_mut(rng),
+            out,
+            reference,
+        );
         Ok(())
     }
 
@@ -982,17 +834,15 @@ impl Tile {
     /// schedule — the engine derives them per
     /// `(pulse, sample, row_tile, col_tile)`.
     ///
-    /// Equivalent to `rngs.len()` calls to [`mvm`](Self::mvm) with the
-    /// corresponding generators, but amortizes validation and the
-    /// cycle-to-cycle scratch buffer across the block.
+    /// Bitwise equal to `rngs.len()` calls to [`mvm`](Self::mvm) with the
+    /// corresponding generators for ±1/0 drives. On a
+    /// [`packed_ready`](Self::packed_ready) tile with ±1/0 drives it runs
+    /// the popcount path; otherwise the cached loop.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] on slice-length or
     /// stride/offset mismatches.
-    // a hot inner-loop entry point: slices + layout scalars beat a
-    // params struct that would be rebuilt per tile per pulse
-    #[allow(clippy::too_many_arguments)]
     pub fn mvm_batch(
         &self,
         xs: &[f32],
@@ -1001,7 +851,6 @@ impl Tile {
         noise: &NoiseSpec,
         rngs: &mut [Rng],
         out: &mut [f32],
-        kernel: MvmKernel,
     ) -> Result<()> {
         let n = rngs.len();
         if offset + self.rows > stride || xs.len() != n * stride || out.len() != n * self.cols {
@@ -1014,101 +863,38 @@ impl Tile {
                 out.len()
             )));
         }
-        let c2c = self.device.c2c_sigma > 0.0;
-        let mut c2c_var = vec![0.0f32; if c2c { self.cols } else { 0 }];
-        let mut scratch = PackScratch::default();
-        if kernel == MvmKernel::Packed
-            && self.mvm_batch_packed(xs, stride, offset, noise, rngs, out, &mut c2c_var, &mut scratch)
-        {
-            return Ok(());
-        }
-        for (s, rng) in rngs.iter_mut().enumerate() {
-            let x = &xs[s * stride + offset..s * stride + offset + self.rows];
-            let o = &mut out[s * self.cols..(s + 1) * self.cols];
-            self.mvm_kernel(kernel, x, noise, rng, o, &mut c2c_var, &mut scratch);
+        let mut planes = StripPlanes::default();
+        let packed = self.packed_ready(self.device.c2c_sigma > 0.0)
+            && planes.pack(xs, stride, offset, self.rows, n)
+            && self.mvm_batch_prepacked(&planes, noise, rngs, out, &mut Vec::new());
+        if !packed {
+            self.mvm_batch_dense(xs, stride, offset, noise, rngs, out, false);
         }
         Ok(())
     }
 
-    /// The sample-blocked popcount path for a whole [`mvm_batch`]
-    /// (Self::mvm_batch) block: packs every sample's input planes, runs
-    /// the column-outer batch loops, then applies each sample's keyed
-    /// noise in order. Bitwise identical to running
-    /// [`accumulate_packed`](Self::accumulate_packed) per sample — the
-    /// per-column word walk and the final `(count − 2·neg)·c` rounding
-    /// are the same — but the plane words load once per column for the
-    /// whole block. Returns `false` (leaving `out` untouched) when the
-    /// planes or any sample's drive pattern are ineligible; the caller
-    /// then runs the per-sample loop, which downgrades sample-by-sample.
-    #[allow(clippy::too_many_arguments)]
-    fn mvm_batch_packed(
-        &self,
-        xs: &[f32],
-        stride: usize,
-        offset: usize,
-        noise: &NoiseSpec,
-        rngs: &mut [Rng],
-        out: &mut [f32],
-        c2c_var: &mut [f32],
-        scratch: &mut PackScratch,
-    ) -> bool {
-        let p = &self.cache.packed;
-        let Some(c) = p.scale else { return false };
-        let need_c2c = !c2c_var.is_empty();
-        let q = match (need_c2c, p.c2c_scale) {
-            (true, Some(q)) => q,
-            (true, None) => return false,
-            (false, _) => 0.0,
-        };
-        let n = rngs.len();
-        scratch.sign.clear();
-        scratch.valid.clear();
-        scratch.driven.clear();
-        let mut all_full = true;
-        for s in 0..n {
-            let x = &xs[s * stride + offset..s * stride + offset + self.rows];
-            let Some(driven) = pack_pulse(x, &mut scratch.sign, &mut scratch.valid) else {
-                return false;
-            };
-            all_full &= driven as usize == self.rows;
-            scratch.driven.push(driven);
-        }
-        scratch.out_t.clear();
-        scratch.out_t.resize(self.cols * n, 0.0);
-        if all_full {
-            packed_batch_full_inner(p, &scratch.sign, n, &mut scratch.out_t, c);
-        } else {
-            packed_batch_masked_inner(p, &scratch.sign, &scratch.valid, n, &mut scratch.out_t, c);
-        }
-        for (s, rng) in rngs.iter_mut().enumerate() {
-            let o = &mut out[s * self.cols..(s + 1) * self.cols];
-            for (oj, col) in o.iter_mut().zip(scratch.out_t.chunks_exact(n)) {
-                *oj = col[s];
-            }
-            if need_c2c {
-                c2c_var.fill(scratch.driven[s] as f32 * q);
-            }
-            self.apply_sign_and_noise(noise, rng, o, c2c_var);
-        }
-        true
-    }
-
-    /// The strip-shared variant of the sample-blocked popcount path:
-    /// identical to the packed arm of [`mvm_batch`](Self::mvm_batch)
-    /// except the input planes arrive pre-packed in `planes` (built once
-    /// per row strip by the engine via [`StripPlanes::pack`]) instead of
-    /// being re-packed per column tile. The per-column word walk, the
-    /// staging transpose through `out_t`, and the per-sample
-    /// `driven·q` c2c fill + keyed noise epilogue run in exactly the
-    /// order `mvm_batch` uses, so outputs and RNG draws are bitwise
-    /// identical — asserted by `prepacked_strip_is_bitwise_mvm_batch`
-    /// and the engine-level differential in `proptest_kernels`.
+    /// The sample-blocked popcount path over input planes pre-packed by
+    /// [`StripPlanes::pack`] (once per row strip by the engine, once per
+    /// call by [`mvm_batch`](Self::mvm_batch)): runs the column-outer
+    /// batch loops, stages results column-major in `out_t`, then per
+    /// sample transposes, fills the c2c variance as `driven·q` and draws
+    /// the keyed noise — the same draws, in the same order, as the cached
+    /// loop.
+    ///
+    /// Per column `j` with input planes (`valid`, `sign_x`):
+    /// `act = active_j & valid` selects driven nonzero-weight cells,
+    /// `diff = sign_j ^ sign_x` marks negative products, and the exact
+    /// pre-noise sum is `(popcount(act & !diff) − popcount(act & diff))·c`.
+    /// The plane's multiples check makes every partial sum the reference
+    /// loop forms representable, so the single final rounding lands on the
+    /// same bits. The c2c variance is `driven·q` for every column (all
+    /// cells share `q`, including zero-weight pairs), preserving the
+    /// reference loop's draw gating bit for bit.
     ///
     /// Returns `false` — leaving `out` untouched — when the planes don't
     /// match this tile's height, the tile's uniform-scale verdicts fail,
-    /// or the buffers disagree; the caller then runs
-    /// [`mvm_batch`](Self::mvm_batch), which downgrades identically.
-    pub fn mvm_batch_prepacked(
+    /// or the buffers disagree; the caller then runs the cached loop.
+    pub(crate) fn mvm_batch_prepacked(
         &self,
         planes: &StripPlanes,
         noise: &NoiseSpec,
@@ -1149,120 +935,45 @@ impl Tile {
         true
     }
 
-    /// The pre-noise accumulation step of one pulse MVM — the part that
-    /// actually differs between kernels. Fills `out` (`len == cols`)
-    /// with the raw signed column sums for drive vector `x`
-    /// (`len == rows`) and, when `c2c_var` is non-empty (`len == cols`),
-    /// the per-column cycle-to-cycle variance numerators. Polarity,
-    /// noise draws, and ADC are **not** applied — those are a shared
-    /// epilogue identical across kernels. Public so `bench_engine` can
-    /// time the kernels themselves differentially; [`mvm`](Self::mvm)
-    /// and [`mvm_batch`](Self::mvm_batch) remain the execution entry
-    /// points.
-    pub fn accumulate(
+    /// The per-sample dense loop over one pulse block (layout as in
+    /// [`mvm_batch`](Self::mvm_batch), lengths already checked): the
+    /// cached loop, or with `reference` the per-cell reference loop.
+    // the tile-MVM hot path: positional slices beat a params struct
+    // rebuilt per pulse per tile
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn mvm_batch_dense(
         &self,
-        kernel: MvmKernel,
-        x: &[f32],
+        xs: &[f32],
+        stride: usize,
+        offset: usize,
+        noise: &NoiseSpec,
+        rngs: &mut [Rng],
         out: &mut [f32],
-        c2c_var: &mut [f32],
-        scratch: &mut PackScratch,
+        reference: bool,
     ) {
-        match kernel {
-            MvmKernel::Cached => self.accumulate_cached(x, out, c2c_var),
-            MvmKernel::Reference => self.accumulate_reference(x, out, c2c_var),
-            MvmKernel::Packed => {
-                if !self.accumulate_packed(x, out, c2c_var, scratch) {
-                    self.accumulate_cached(x, out, c2c_var);
-                }
+        let c2c = self.device.c2c_sigma > 0.0;
+        let mut c2c_var = vec![0.0f32; if c2c { self.cols } else { 0 }];
+        for (s, rng) in rngs.iter_mut().enumerate() {
+            let x = &xs[s * stride + offset..s * stride + offset + self.rows];
+            let o = &mut out[s * self.cols..(s + 1) * self.cols];
+            if reference {
+                self.accumulate_reference(x, o, &mut c2c_var);
+            } else {
+                self.accumulate_cached(x, o, &mut c2c_var);
             }
+            self.apply_sign_and_noise(noise, rng, o, &c2c_var);
         }
     }
 
-    /// The shared MVM inner loop: `x.len() == rows`, `out.len() == cols`,
-    /// and `c2c_var.len() == cols` exactly when cycle-to-cycle noise is
-    /// enabled (it is used as scratch and re-zeroed here). `scratch` is
-    /// the packed kernel's input-plane buffer, hoisted so batched callers
-    /// amortize its allocation.
-    // the tile-MVM hot path: positional slices beat a params struct
-    // rebuilt per pulse per sample
-    #[allow(clippy::too_many_arguments)]
-    fn mvm_kernel(
-        &self,
-        kernel: MvmKernel,
-        x: &[f32],
-        noise: &NoiseSpec,
-        rng: &mut Rng,
-        out: &mut [f32],
-        c2c_var: &mut [f32],
-        scratch: &mut PackScratch,
-    ) {
-        // the Packed arm inside `accumulate` is the documented downgrade:
-        // heterogeneous weights or fractional drives (amplitude encoding)
-        // take the cached loop, which is itself bitwise-Reference for
-        // ±1/0 inputs — never a silently different result
-        self.accumulate(kernel, x, out, c2c_var, scratch);
-        self.apply_sign_and_noise(noise, rng, out, c2c_var);
-    }
-
-    /// Whether [`MvmKernel::Packed`] genuinely engages on this tile:
-    /// the uniform-scale exactness verdicts hold for the weight plane
-    /// and — when `need_c2c` (the device draws cycle-to-cycle noise) —
-    /// for the variance plane too. When `false`, packed execution
-    /// transparently serves the cached kernel's bitwise-identical
-    /// results instead; this probe exists so benches and tests can
-    /// assert which inner loop actually ran.
+    /// Whether the popcount path engages on this tile: the uniform-scale
+    /// exactness verdicts hold for the weight plane and — when `need_c2c`
+    /// (the device draws cycle-to-cycle noise) — for the variance plane
+    /// too. When `false` the tile runs the cached loop, with bitwise the
+    /// same results for ±1/0 drives; this probe exists so benches and
+    /// tests can assert which inner loop actually ran.
     pub fn packed_ready(&self, need_c2c: bool) -> bool {
         let p = &self.cache.packed;
         p.scale.is_some() && (!need_c2c || p.c2c_scale.is_some())
-    }
-
-    /// Popcount accumulation. Returns `false` — without touching `out` —
-    /// when the tile's planes or this pulse's drive pattern are
-    /// ineligible, so the caller can fall back to the cached loop.
-    ///
-    /// Per column `j` with packed input planes (`valid`, `sign_x`):
-    /// `act = active_j & valid` selects driven nonzero-weight cells,
-    /// `diff = sign_j ^ sign_x` marks negative products, and the exact
-    /// pre-noise sum is `(popcount(act & !diff) − popcount(act & diff))·c`.
-    /// The c2c variance is `driven·q` for every column (all cells share
-    /// `q`, including zero-weight pairs), preserving the reference
-    /// kernel's draw gating bit for bit.
-    fn accumulate_packed(
-        &self,
-        x: &[f32],
-        out: &mut [f32],
-        c2c_var: &mut [f32],
-        scratch: &mut PackScratch,
-    ) -> bool {
-        let p = &self.cache.packed;
-        let Some(c) = p.scale else { return false };
-        let need_c2c = !c2c_var.is_empty();
-        let q = match (need_c2c, p.c2c_scale) {
-            (true, Some(q)) => q,
-            (true, None) => return false,
-            (false, _) => 0.0,
-        };
-        scratch.sign.clear();
-        scratch.valid.clear();
-        let Some(driven) = pack_pulse(x, &mut scratch.sign, &mut scratch.valid) else {
-            return false; // fractional drive: not representable in one bit
-        };
-        // exactness in both loops below comes from the plane's multiples
-        // check: every true partial product is representable, so the
-        // single final rounding lands on the same bits as the reference
-        // kernel's sequence of exact accumulation steps
-        if driven as usize == self.rows {
-            // full drive (every row ±1, the common case for binary
-            // trains): act == active, so the act popcount collapses to
-            // the precomputed per-column count
-            packed_columns_full_inner(p, &scratch.sign, out, c);
-        } else {
-            packed_columns_masked_inner(p, &scratch.sign, &scratch.valid, out, c);
-        }
-        if need_c2c {
-            c2c_var.fill(driven as f32 * q);
-        }
-        true
     }
 
     /// Original accumulation: recompute the effective weight of every
@@ -1746,9 +1457,9 @@ impl Tile {
     /// Pins the health of one cell and forces its conductance onto the
     /// matching level: `StuckOn` → `G_on`, `StuckOff` → `G_off`,
     /// `Healthy` → the cell's exact current target under the present
-    /// polarity. The weight cache is patched, so fault injection through
-    /// this method is safe to interleave with [`MvmKernel::Cached`]
-    /// execution — it exists for tests and instrumentation, which must
+    /// polarity. The weight cache and bit planes are patched, so fault
+    /// injection through this method is safe to interleave with execution
+    /// — it exists for tests and instrumentation, which must
     /// not reach around the API and mutate raw state.
     ///
     /// # Errors
@@ -1807,9 +1518,9 @@ impl Tile {
     /// upset (read disturb, drift excursion, particle strike) that the
     /// next [`refresh`](Tile::refresh) reprograms away. Contrast with
     /// [`inject_fault`](Tile::inject_fault), whose pinned health survives
-    /// reprogramming and needs march-test + remap. The weight cache is
-    /// patched, so upsets are safe to interleave with
-    /// [`MvmKernel::Cached`] execution.
+    /// reprogramming and needs march-test + remap. The weight cache and
+    /// bit planes are patched, so upsets are safe to interleave with
+    /// execution.
     ///
     /// # Errors
     ///
@@ -1995,7 +1706,6 @@ mod tests {
             &noise,
             &mut rngs,
             &mut batch_out,
-            MvmKernel::Cached,
         )
         .unwrap();
         for s in 0..n {
@@ -2011,23 +1721,34 @@ mod tests {
             assert_eq!(&batch_out[s * 2..(s + 1) * 2], &out);
         }
         // stride too small for offset + rows, wrong xs length, wrong out length
-        let k = MvmKernel::Cached;
         assert!(tile
-            .mvm_batch(&xs[..n * 3], 3, 1, &noise, &mut rngs, &mut batch_out, k)
+            .mvm_batch(&xs[..n * 3], 3, 1, &noise, &mut rngs, &mut batch_out)
             .is_err());
         assert!(tile
-            .mvm_batch(&xs[..7], stride, offset, &noise, &mut rngs, &mut batch_out, k)
+            .mvm_batch(&xs[..7], stride, offset, &noise, &mut rngs, &mut batch_out)
             .is_err());
         assert!(tile
-            .mvm_batch(&xs, stride, offset, &noise, &mut rngs, &mut batch_out[..2], k)
+            .mvm_batch(&xs, stride, offset, &noise, &mut rngs, &mut batch_out[..2])
             .is_err());
+    }
+
+    /// One drive vector through [`Tile::mvm_batch`], which takes the
+    /// popcount path on a `packed_ready` tile.
+    fn mvm_batch_one(
+        tile: &Tile,
+        x: &[f32],
+        noise: &NoiseSpec,
+        rng: &mut Rng,
+        out: &mut [f32],
+    ) -> Result<()> {
+        tile.mvm_batch(x, x.len(), 0, noise, std::slice::from_mut(rng), out)
     }
 
     #[test]
     fn prepacked_strip_is_bitwise_mvm_batch() {
         // a rail-programmed (packed-eligible) tile with c2c noise: the
-        // strip-shared path must reproduce mvm_batch's packed path bit
-        // for bit, RNG draws included
+        // strip-shared popcount path must reproduce the per-cell
+        // reference loop bit for bit, RNG draws included
         let mut device = DeviceModel::ideal();
         device.c2c_sigma = 0.03;
         let mut rng = Rng::from_seed(7);
@@ -2052,20 +1773,26 @@ mod tests {
             };
             let mut planes = StripPlanes::default();
             assert!(planes.pack(&xs, stride, offset, 70, n));
-            let mk_rngs = || -> Vec<Rng> { (0..n as u64).map(|s| Rng::from_seed(900 + s)).collect() };
-            let mut batch_out = vec![0.0f32; n * 5];
-            let mut rngs = mk_rngs();
-            tile.mvm_batch(&xs, stride, offset, &noise, &mut rngs, &mut batch_out, MvmKernel::Packed)
-                .unwrap();
+            let mut ref_out = vec![0.0f32; n * 5];
+            let mut ref_rngs: Vec<Rng> = (0..n as u64).map(|s| Rng::from_seed(900 + s)).collect();
+            for (s, rng) in ref_rngs.iter_mut().enumerate() {
+                let x = &xs[s * stride + offset..s * stride + offset + 70];
+                tile.mvm_reference(x, &noise, rng, &mut ref_out[s * 5..(s + 1) * 5])
+                    .unwrap();
+            }
             let mut pre_out = vec![0.0f32; n * 5];
             let mut out_t = Vec::new();
-            let mut rngs = mk_rngs();
+            let mut rngs: Vec<Rng> = (0..n as u64).map(|s| Rng::from_seed(900 + s)).collect();
             assert!(tile.mvm_batch_prepacked(&planes, &noise, &mut rngs, &mut pre_out, &mut out_t));
             assert_eq!(
-                batch_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                ref_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 pre_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "full_drive = {full_drive}"
             );
+            // generators stay aligned too (same draw count and order)
+            for (a, b) in rngs.iter_mut().zip(&mut ref_rngs) {
+                assert_eq!(a.normal(0.0, 1.0).to_bits(), b.normal(0.0, 1.0).to_bits());
+            }
         }
         // mismatched strip height or fractional drives refuse cleanly
         let mut planes = StripPlanes::default();
@@ -2382,8 +2109,8 @@ mod tests {
         let (mut a, mut b) = ([0.0f32; 4], [0.0f32; 4]);
         let mut rng_a = Rng::from_seed(77);
         let mut rng_b = Rng::from_seed(77);
-        tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Cached).unwrap();
-        tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
+        tile.mvm(&x, &noise, &mut rng_a, &mut a).unwrap();
+        tile.mvm_reference(&x, &noise, &mut rng_b, &mut b).unwrap();
         assert_eq!(a, b, "±1/0 inputs must be bitwise identical across kernels");
         // generators must stay aligned too (same draw count and order)
         assert_eq!(
@@ -2422,8 +2149,8 @@ mod tests {
         let (mut a, mut b) = ([0.0f32; 3], [0.0f32; 3]);
         let mut rng_a = Rng::from_seed(99);
         let mut rng_b = Rng::from_seed(99);
-        tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-        tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
+        mvm_batch_one(&tile, &x, &noise, &mut rng_a, &mut a).unwrap();
+        tile.mvm_reference(&x, &noise, &mut rng_b, &mut b).unwrap();
         assert_eq!(a, b, "packed must be bitwise reference on rails");
         assert_eq!(
             rng_a.normal(0.0, 1.0).to_bits(),
@@ -2452,8 +2179,8 @@ mod tests {
             let (mut a, mut b) = ([0.0f32; 4], [0.0f32; 4]);
             let mut rng_a = Rng::from_seed(7);
             let mut rng_b = Rng::from_seed(7);
-            tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-            tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
+            mvm_batch_one(&tile, &x, &noise, &mut rng_a, &mut a).unwrap();
+            tile.mvm_reference(&x, &noise, &mut rng_b, &mut b).unwrap();
             assert_eq!(a, b, "c2c reconstruction must be bitwise for x = {x:?}");
             assert_eq!(
                 rng_a.normal(0.0, 1.0).to_bits(),
@@ -2476,8 +2203,8 @@ mod tests {
         let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
         let mut rng_a = Rng::from_seed(3);
         let mut rng_b = Rng::from_seed(3);
-        tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-        tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
+        mvm_batch_one(&tile, &x, &noise, &mut rng_a, &mut a).unwrap();
+        tile.mvm_reference(&x, &noise, &mut rng_b, &mut b).unwrap();
         assert_eq!(a, b, "downgraded packed must still be bitwise reference");
 
         // a lone stuck cell breaks the *variance* uniformity only: the
@@ -2494,8 +2221,8 @@ mod tests {
         let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
         let mut rng_a = Rng::from_seed(4);
         let mut rng_b = Rng::from_seed(4);
-        stuck.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-        stuck.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Reference).unwrap();
+        mvm_batch_one(&stuck, &x, &noise, &mut rng_a, &mut a).unwrap();
+        stuck.mvm_reference(&x, &noise, &mut rng_b, &mut b).unwrap();
         assert_eq!(a, b);
     }
 
@@ -2511,8 +2238,8 @@ mod tests {
         let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
         let mut rng_a = Rng::from_seed(9);
         let mut rng_b = Rng::from_seed(9);
-        tile.mvm_with(&x, &noise, &mut rng_a, &mut a, MvmKernel::Packed).unwrap();
-        tile.mvm_with(&x, &noise, &mut rng_b, &mut b, MvmKernel::Cached).unwrap();
+        mvm_batch_one(&tile, &x, &noise, &mut rng_a, &mut a).unwrap();
+        tile.mvm(&x, &noise, &mut rng_b, &mut b).unwrap();
         assert_eq!(a, b, "fractional drives must serve the cached results");
     }
 
@@ -2532,15 +2259,8 @@ mod tests {
             let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
             let mut rng_a = Rng::from_seed(6);
             let mut rng_b = Rng::from_seed(6);
-            tile.mvm_with(&x, &NoiseSpec::functional(0.2), &mut rng_a, &mut a, MvmKernel::Packed)
-                .unwrap();
-            tile.mvm_with(
-                &x,
-                &NoiseSpec::functional(0.2),
-                &mut rng_b,
-                &mut b,
-                MvmKernel::Reference,
-            )
+            mvm_batch_one(tile, &x, &NoiseSpec::functional(0.2), &mut rng_a, &mut a).unwrap();
+            tile.mvm_reference(&x, &NoiseSpec::functional(0.2), &mut rng_b, &mut b)
             .unwrap();
             assert_eq!(a, b, "stale packed planes after {what}");
         };
@@ -2587,15 +2307,9 @@ mod tests {
             let (mut a, mut b) = ([0.0f32; 2], [0.0f32; 2]);
             let mut rng_a = Rng::from_seed(5);
             let mut rng_b = Rng::from_seed(5);
-            tile.mvm_with(&x, &NoiseSpec::functional(0.2), &mut rng_a, &mut a, MvmKernel::Cached)
+            tile.mvm(&x, &NoiseSpec::functional(0.2), &mut rng_a, &mut a)
                 .unwrap();
-            tile.mvm_with(
-                &x,
-                &NoiseSpec::functional(0.2),
-                &mut rng_b,
-                &mut b,
-                MvmKernel::Reference,
-            )
+            tile.mvm_reference(&x, &NoiseSpec::functional(0.2), &mut rng_b, &mut b)
             .unwrap();
             assert_eq!(a, b, "stale cache after {what}");
         };
@@ -2629,9 +2343,10 @@ mod tests {
 
     #[test]
     fn delta_schedule_matches_fused_kernel_per_pulse() {
-        // dense pulse 0 + switched-row deltas + finish_pulse must reproduce the
-        // fused cached kernel bitwise, pulse by pulse, for a nested-unary
-        // schedule (monotone +1 → −1 per row)
+        // dense pulse 0 + switched-row deltas + finish_pulse must track the
+        // reference loop within 1e-5, pulse by pulse, for a nested-unary
+        // schedule (monotone +1 → −1 per row): the running accumulator
+        // re-associates the sums, so the contract is a tolerance, not bits
         let mut rng = Rng::from_seed(23);
         let w = Tensor::from_vec(
             (0..24).map(|i| if i % 5 < 2 { -1.0 } else { 1.0 }).collect(),
@@ -2659,7 +2374,7 @@ mod tests {
             let mut rng_fast = Rng::from_seed(900 + pi as u64);
             let mut rng_slow = Rng::from_seed(900 + pi as u64);
             tile.finish_pulse(&acc, &noise, &mut rng_fast, &mut fast);
-            tile.mvm_with(&x, &noise, &mut rng_slow, &mut slow, MvmKernel::Reference)
+            tile.mvm_reference(&x, &noise, &mut rng_slow, &mut slow)
                 .unwrap();
             for (f, s) in fast.iter().zip(slow.iter()) {
                 assert!(

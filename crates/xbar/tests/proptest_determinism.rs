@@ -4,17 +4,18 @@
 //! `(pulse, sample, row_tile, col_tile)` (programming: `(row_tile,
 //! col_tile)`), so programming + execution must be **bitwise identical**
 //! for every `max_threads` setting — across tile geometries, encoders,
-//! noise models **and all three MVM kernels** (the cached and packed fast
-//! paths reorder their loops but not their substream keys) — and the closed-form variance
+//! noise models **and every inner loop**: the delta schedule, the dense
+//! schedule's popcount and cached loops (count-backed trains are also fed
+//! as plain pulses to reach it) and the reference oracle reorder their
+//! loops but not their substream keys — and the closed-form variance
 //! laws (paper Eqs. 2/3) must keep holding when the Monte-Carlo runs
 //! through the parallel path.
 
 use membit_encoding::pla::PlaThermometer;
-use membit_encoding::{BitEncoder, BitSlicing, Thermometer};
+use membit_encoding::{BitEncoder, BitSlicing, PulseTrain, Thermometer};
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{
-    CellHealth, CellSide, CrossbarLinear, ExecOptions, ExecutionStats, GuardPolicy, MvmKernel,
-    XbarConfig,
+    CellHealth, CellSide, CrossbarLinear, ExecOptions, ExecutionStats, GuardPolicy, XbarConfig,
 };
 use proptest::prelude::*;
 
@@ -23,23 +24,49 @@ fn pm1_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
     Tensor::from_fn(&[rows, cols], |_| if rng.coin(0.5) { 1.0 } else { -1.0 })
 }
 
-/// Programs and executes under the given thread cap, returning the raw
-/// output bits and stats.
+/// Options for `threads` workers, one sample each at minimum.
+fn threads_opts(threads: usize) -> ExecOptions {
+    ExecOptions {
+        max_threads: threads,
+        samples_per_thread: 1,
+    }
+}
+
+/// The same pulses as `train` without its high counts, so the engine
+/// runs them on the dense schedule.
+fn dense(train: &PulseTrain) -> PulseTrain {
+    PulseTrain::new(train.pulses().to_vec(), train.weights().to_vec()).unwrap()
+}
+
+/// The three ways a train is run: as given on the engine (delta schedule
+/// for count-backed trains), as plain pulses on the engine (dense
+/// schedule: popcount and cached loops), and as given on the reference
+/// oracle. Each entry is `(label, train, oracle)`.
+fn variants(train: &PulseTrain) -> [(&'static str, PulseTrain, bool); 3] {
+    [
+        ("engine", train.clone(), false),
+        ("engine, dense", dense(train), false),
+        ("oracle", train.clone(), true),
+    ]
+}
+
+/// Programs and executes under the given thread cap (on the reference
+/// oracle when `oracle` is set), returning the raw output bits and
+/// stats.
 fn run(
     w: &Tensor,
-    train: &membit_encoding::PulseTrain,
+    train: &PulseTrain,
     mut cfg: XbarConfig,
     seed: u64,
     threads: usize,
-    kernel: MvmKernel,
+    oracle: bool,
 ) -> (Vec<f32>, ExecutionStats) {
-    cfg.exec = ExecOptions {
-        max_threads: threads,
-        samples_per_thread: 1,
-        kernel,
-    };
+    cfg.exec = threads_opts(threads);
     let mut rng = Rng::from_seed(seed);
-    let engine = CrossbarLinear::program(w, &cfg, &mut rng).unwrap();
+    let mut engine = CrossbarLinear::program(w, &cfg, &mut rng).unwrap();
+    if oracle {
+        engine = engine.reference_oracle();
+    }
     let (y, stats) = engine.execute_with_stats(train, &mut rng).unwrap();
     (y.as_slice().to_vec(), stats)
 }
@@ -73,16 +100,16 @@ proptest! {
         cfg.tile_rows = tile_rows;
         cfg.tile_cols = tile_cols;
 
-        for kernel in [MvmKernel::Cached, MvmKernel::Packed, MvmKernel::Reference] {
-            let (y1, s1) = run(&w, &train, cfg, seed + 1000, 1, kernel);
+        for (label, train, oracle) in variants(&train) {
+            let (y1, s1) = run(&w, &train, cfg, seed + 1000, 1, oracle);
             for threads in [2usize, 8] {
-                let (yt, st) = run(&w, &train, cfg, seed + 1000, threads, kernel);
+                let (yt, st) = run(&w, &train, cfg, seed + 1000, threads, oracle);
                 // outputs bitwise identical, stats exactly equal
                 prop_assert_eq!(
                     &y1, &yt,
-                    "outputs diverged at {} threads ({:?})", threads, kernel
+                    "outputs diverged at {} threads ({})", threads, label
                 );
-                prop_assert_eq!(s1, st, "stats diverged at {} threads ({:?})", threads, kernel);
+                prop_assert_eq!(s1, st, "stats diverged at {} threads ({})", threads, label);
             }
         }
     }
@@ -116,26 +143,29 @@ proptest! {
         cfg.tile_cols = tile_cols;
         cfg.guard = Some(GuardPolicy::standard());
 
-        let run_guarded = |threads: usize, kernel: MvmKernel| {
+        let run_guarded = |threads: usize, train: &PulseTrain, oracle: bool| {
             let mut cfg = cfg;
-            cfg.exec = ExecOptions { max_threads: threads, samples_per_thread: 1, kernel };
+            cfg.exec = threads_opts(threads);
             let mut rng = Rng::from_seed(seed + 5000);
             let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
+            if oracle {
+                engine = engine.reference_oracle();
+            }
             for &(row, col) in &faults {
                 engine.inject_fault(row, col, CellSide::Pos, CellHealth::StuckOff).unwrap();
             }
-            let (y, stats) = engine.execute_guarded(&train, &mut rng).unwrap();
+            let (y, stats) = engine.execute_guarded(train, &mut rng).unwrap();
             (y.as_slice().to_vec(), stats, engine.is_degraded())
         };
-        for kernel in [MvmKernel::Cached, MvmKernel::Packed, MvmKernel::Reference] {
-            let (y1, s1, d1) = run_guarded(1, kernel);
+        for (label, train, oracle) in variants(&train) {
+            let (y1, s1, d1) = run_guarded(1, &train, oracle);
             for threads in [2usize, 8] {
-                let (yt, st, dt) = run_guarded(threads, kernel);
+                let (yt, st, dt) = run_guarded(threads, &train, oracle);
                 prop_assert_eq!(
                     &y1, &yt,
-                    "guarded outputs diverged at {} threads ({:?})", threads, kernel
+                    "guarded outputs diverged at {} threads ({})", threads, label
                 );
-                prop_assert_eq!(s1, st, "guarded stats diverged at {} threads ({:?})", threads, kernel);
+                prop_assert_eq!(s1, st, "guarded stats diverged at {} threads ({})", threads, label);
                 prop_assert_eq!(d1, dt);
             }
         }
@@ -179,26 +209,34 @@ fn guard_retry_path_is_bitwise_identical_across_thread_counts() {
     cfg.tile_cols = 8;
     cfg.guard = Some(policy);
 
-    let run_guarded = |threads: usize, kernel: MvmKernel| {
+    let run_guarded = |threads: usize, train: &PulseTrain, oracle: bool| {
         let mut cfg = cfg;
-        cfg.exec = ExecOptions {
-            max_threads: threads,
-            samples_per_thread: 1,
-            kernel,
-        };
+        cfg.exec = threads_opts(threads);
         let mut rng = Rng::from_seed(78);
         let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
-        let (y, stats) = engine.execute_guarded(&train, &mut rng).unwrap();
+        if oracle {
+            engine = engine.reference_oracle();
+        }
+        let (y, stats) = engine.execute_guarded(train, &mut rng).unwrap();
         (y.as_slice().to_vec(), stats)
     };
-    for kernel in [MvmKernel::Cached, MvmKernel::Packed, MvmKernel::Reference] {
-        let (y1, s1) = run_guarded(1, kernel);
-        assert!(s1.guard.retries > 0, "fixture must exercise retries ({kernel:?})");
+    for (label, train, oracle) in variants(&train) {
+        let (y1, s1) = run_guarded(1, &train, oracle);
+        assert!(
+            s1.guard.retries > 0,
+            "fixture must exercise retries ({label})"
+        );
         assert!(s1.guard.retry_successes > 0, "{:?}", s1.guard);
         for threads in [2usize, 8] {
-            let (yt, st) = run_guarded(threads, kernel);
-            assert_eq!(y1, yt, "retry outputs diverged at {threads} threads ({kernel:?})");
-            assert_eq!(s1, st, "retry stats diverged at {threads} threads ({kernel:?})");
+            let (yt, st) = run_guarded(threads, &train, oracle);
+            assert_eq!(
+                y1, yt,
+                "retry outputs diverged at {threads} threads ({label})"
+            );
+            assert_eq!(
+                s1, st,
+                "retry stats diverged at {threads} threads ({label})"
+            );
         }
     }
 }
@@ -213,11 +251,7 @@ fn monte_carlo_variance_matches_eq3_under_parallel_execution() {
     let sigma = 2.0f32;
     let p = 8usize;
     let mut cfg = XbarConfig::functional(sigma);
-    cfg.exec = ExecOptions {
-        max_threads: 8,
-        samples_per_thread: 1,
-        kernel: MvmKernel::Cached,
-    };
+    cfg.exec = threads_opts(8);
     let mut rng = Rng::from_seed(41);
     let xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
     let batch = 8usize;
@@ -248,11 +282,7 @@ fn monte_carlo_variance_matches_eq2_under_parallel_execution() {
     let sigma = 2.0f32;
     let b = 3usize;
     let mut cfg = XbarConfig::functional(sigma);
-    cfg.exec = ExecOptions {
-        max_threads: 8,
-        samples_per_thread: 1,
-        kernel: MvmKernel::Cached,
-    };
+    cfg.exec = threads_opts(8);
     let mut rng = Rng::from_seed(42);
     let xbar = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
     let batch = 8usize;
@@ -275,10 +305,11 @@ fn monte_carlo_variance_matches_eq2_under_parallel_execution() {
     );
 }
 
-/// The full escalation ladder (retry → refresh → remap) under the
-/// popcount kernel: a rails fixture with a post-deployment fault burst
-/// must trip checksums, escalate past retries to tile remaps, and the
-/// whole run — detection, repair, and the final outputs — must be
+/// The full escalation ladder (retry → refresh → remap) on the popcount
+/// path: a rails fixture, fed a thermometer train's pulses without their
+/// high counts so the dense schedule runs, with a post-deployment fault
+/// burst must trip checksums, escalate past retries to tile remaps, and
+/// the whole run — detection, repair, and the final outputs — must be
 /// bitwise identical at 1 vs 4 threads. Ladder repairs reprogram cells
 /// (rebuilding the packed planes mid-flight), so this also fuzzes plane
 /// freshness along the recovery path.
@@ -291,15 +322,11 @@ fn packed_guard_ladder_is_bitwise_identical_across_thread_counts() {
     cfg.noise.device.on_off_ratio = 20.0;
     let w = pm1_matrix(16, 32, 61);
     let x = pm1_matrix(4, 32, 62);
-    let train = Thermometer::new(8).unwrap().encode_tensor(&x).unwrap();
+    let train = dense(&Thermometer::new(8).unwrap().encode_tensor(&x).unwrap());
 
     let run_guarded = |threads: usize| {
         let mut cfg = cfg;
-        cfg.exec = ExecOptions {
-            max_threads: threads,
-            samples_per_thread: 1,
-            kernel: MvmKernel::Packed,
-        };
+        cfg.exec = threads_opts(threads);
         let mut rng = Rng::from_seed(63);
         let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
         assert!(engine.packed_ready(), "rails fixture must pack");

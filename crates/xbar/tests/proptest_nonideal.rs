@@ -1,12 +1,10 @@
 //! Property-based tests for the physical non-ideality layer: IR-drop
-//! attenuation geometry, kernel equivalence under wire resistance, and
+//! attenuation geometry, engine–oracle equivalence under wire resistance, and
 //! guard-tolerance soundness across the rated temperature range.
 
 use membit_encoding::{BitEncoder, BitSlicing, Thermometer};
 use membit_tensor::{Rng, Tensor};
-use membit_xbar::{
-    CrossbarLinear, GuardPolicy, MvmKernel, NonIdealitySpec, XbarConfig, T_MAX, T_MIN,
-};
+use membit_xbar::{CrossbarLinear, GuardPolicy, NonIdealitySpec, XbarConfig, T_MAX, T_MIN};
 use proptest::prelude::*;
 
 fn pm1_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -45,11 +43,11 @@ proptest! {
     }
 
     /// The attenuation map is folded into the weight cache at program
-    /// time, so IR drop must not loosen the kernel-equivalence contract:
-    /// Cached and Reference stay *bitwise* identical on per-pulse
-    /// execution (bit-sliced trains) and within the usual 1e-5 relative
-    /// envelope on the incremental pulse-delta schedule, whose only
-    /// divergence is floating-point accumulation order.
+    /// time, so IR drop must not loosen the oracle-equivalence contract:
+    /// the engine and its reference oracle stay *bitwise* identical on
+    /// per-pulse execution (bit-sliced trains) and within the usual 1e-5
+    /// relative envelope on the incremental pulse-delta schedule, whose
+    /// only divergence is floating-point accumulation order.
     #[test]
     fn kernels_agree_bitwise_under_ir_drop(
         seed in 0u64..200,
@@ -65,28 +63,29 @@ proptest! {
         let w = pm1_matrix(10, 14, seed);
         let x = pm1_matrix(3, 14, seed + 1);
 
-        let run = |kernel: MvmKernel, train: &membit_encoding::PulseTrain| {
-            let mut cfg = cfg;
-            cfg.exec = cfg.exec.with_kernel(kernel);
+        let run = |oracle: bool, train: &membit_encoding::PulseTrain| {
             let mut rng = Rng::from_seed(seed + 2);
-            let engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
+            let mut engine = CrossbarLinear::program(&w, &cfg, &mut rng).unwrap();
+            if oracle {
+                engine = engine.reference_oracle();
+            }
             engine.execute(train, &mut rng).unwrap()
         };
 
         // per-pulse path: bitwise
         let sliced = BitSlicing::new(4).unwrap().encode_tensor(&x).unwrap();
-        let y_fast = run(MvmKernel::Cached, &sliced);
-        let y_ref = run(MvmKernel::Reference, &sliced);
+        let y_fast = run(false, &sliced);
+        let y_ref = run(true, &sliced);
         prop_assert_eq!(y_fast.as_slice(), y_ref.as_slice());
 
         // pulse-delta path: accumulation-order envelope
         let thermo = Thermometer::new(6).unwrap().encode_tensor(&x).unwrap();
-        let d_fast = run(MvmKernel::Cached, &thermo);
-        let d_ref = run(MvmKernel::Reference, &thermo);
+        let d_fast = run(false, &thermo);
+        let d_ref = run(true, &thermo);
         for (i, (a, b)) in d_fast.as_slice().iter().zip(d_ref.as_slice()).enumerate() {
             prop_assert!(
                 (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
-                "element {}: cached {} vs reference {}", i, a, b
+                "element {}: engine {} vs reference {}", i, a, b
             );
         }
     }

@@ -4,6 +4,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs one test binary filtered to exactly one test name and fails when
+# the filter matched nothing: a renamed test must not turn a step into a
+# silent no-op. Usage: run_one_test <cargo test args...> -- <test name>
+run_one_test() {
+    local out
+    out=$(cargo test "$@" --exact 2>&1) || { echo "$out"; return 1; }
+    echo "$out"
+    if ! grep -q "test result: ok\. 1 passed" <<<"$out"; then
+        echo "ci: '${*: -1}' matched no test" >&2
+        return 1
+    fi
+}
+
 echo "=== cargo build --release ==="
 cargo build --release --workspace
 
@@ -20,9 +33,9 @@ echo "=== engine determinism suite ==="
 cargo test -q -p membit-xbar --test proptest_determinism -- --test-threads=1
 cargo test -q -p membit-xbar --test proptest_determinism -- --test-threads=4
 
-echo "=== MVM kernel differential suite ==="
-# cached + packed fast paths vs reference oracle, plus cache/plane
-# staleness fuzzing across all mutators
+echo "=== MVM inner-loop differential suite ==="
+# the engine's delta, popcount and cached loops vs the reference oracle,
+# plus cache/plane staleness fuzzing across all mutators
 cargo test -q -p membit-xbar --test proptest_kernels
 
 echo "=== release-mode float determinism (tensor, encoding, kernel suites, forward goldens) ==="
@@ -46,7 +59,7 @@ cargo test -q --release -p membit-nn moments
 
 echo "=== guard suite (stats merge algebra + checksum fuzzing) ==="
 cargo test -q -p membit-xbar --test proptest_stats
-cargo test -q -p membit-xbar --test proptest_kernels cached_kernel_never_masks_guard_violations
+run_one_test -q -p membit-xbar --test proptest_kernels -- engine_never_masks_guard_violations
 
 echo "=== non-ideality suite (IR drop, temperature, guard silence) ==="
 cargo test -q -p membit-xbar --test proptest_nonideal
@@ -72,7 +85,8 @@ cargo test -q --release -p membit-serve --test serve_replay
 # committed full-size results/BENCH_*.json baselines.
 
 echo "=== bench_engine smoke (BENCH_engine.json + BENCH_mvm.json) ==="
-# exercises both kernels and aborts on any cached/reference disagreement
+# times the engine against the reference oracle and aborts on any
+# disagreement
 MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/bench_engine --smoke
 test -s target/bench-smoke/BENCH_engine.json
 test -s target/bench-smoke/BENCH_mvm.json

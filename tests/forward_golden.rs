@@ -7,11 +7,17 @@
 //! Tiles are 32×16 so every engine has several row tiles (and the hidden
 //! FC several column tiles): the per-element accumulation order across
 //! tiles is pinned too.
+//!
+//! `DeviceVgg` drives count-backed PLA trains, so the engine runs every
+//! configuration on the pulse-delta schedule. `golden_packed_kernel` pins
+//! a rail-programmed deployment whose tiles all pass the popcount
+//! verdicts (`packed_ready`); the dense popcount path itself is checked
+//! against the reference oracle in `membit-xbar`'s `proptest_kernels`.
 
 use membit_core::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg};
 use membit_nn::{Params, Vgg, VggConfig};
 use membit_tensor::{Rng, Tensor};
-use membit_xbar::{ExecutionStats, GuardPolicy, MvmKernel, RecoveryPolicy, XbarConfig};
+use membit_xbar::{ExecutionStats, GuardPolicy, RecoveryPolicy, XbarConfig};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -156,7 +162,6 @@ fn golden_realistic_cached_with_adc() {
 #[test]
 fn golden_packed_kernel() {
     let (mut device, mut rng) = deploy(XbarConfig::functional(0.1), &[6, 9, 12], 47);
-    device.set_kernel(MvmKernel::Packed);
     assert!(device.packed_ready());
     let (digest, _) = run(&mut device, &mut rng, 2, |_, _| {});
     assert_eq!(

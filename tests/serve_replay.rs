@@ -13,7 +13,7 @@ use membit_serve::{
     ShardServer,
 };
 use membit_tensor::{Rng, RngStream};
-use membit_xbar::{GuardPolicy, MvmKernel, XbarConfig};
+use membit_xbar::{GuardPolicy, XbarConfig};
 
 /// Deploys the tiny VGG afresh: same seeds → identical device state.
 fn deploy_tiny(seed: u64) -> DeviceVgg {
@@ -112,14 +112,13 @@ fn threaded_chaos_serving_replays_bitwise_at_any_thread_count() {
 
 #[test]
 fn packed_kernel_chaos_serving_replays_bitwise() {
-    // the popcount kernel behind the full serving stack: the functional
-    // deployment is rail-programmed, so Packed genuinely engages (not
-    // the downgrade path), and a chaos run must still replay bitwise
-    // from the log alone at any thread count.
+    // a rail-programmed deployment behind the full serving stack: every
+    // tile passes the popcount verdicts (upsets then break some of them
+    // mid-run), and a chaos run must still replay bitwise from the log
+    // alone at any thread count.
     let seed = 45;
     let deploy_packed = || {
-        let mut dv = deploy_tiny(seed);
-        dv.set_kernel(MvmKernel::Packed);
+        let dv = deploy_tiny(seed);
         assert!(dv.packed_ready(), "rails deployment must pack");
         dv
     };
