@@ -8,8 +8,9 @@
 //!    deployed [`DeviceVgg`] (paired runs cancel persistent error, so
 //!    the fluctuating walk is the comparable quantity).
 //! 2. **Search speedup** — wall clock of the Monte-Carlo GBO λ-search
-//!    (Eq. 5/6, Adam over epochs) vs the analytic scorer
-//!    ([`GboScorer::Analytic`]: one-time capture + coordinate descent).
+//!    (Eq. 5/6, Adam over epochs; [`GboTrainer::search`]) vs the
+//!    analytic search ([`GboTrainer::search_analytic`]: one-time capture
+//!    + coordinate descent).
 //! 3. **Fidelity** — both selections evaluated with the functional
 //!    noise model; accuracies must agree within 0.5 pp.
 //! 4. **Per-tile allocation** — refine the uniform selection per column
@@ -29,8 +30,7 @@ use std::time::Instant;
 
 use membit_bench::{gbo_epochs, results_dir, Cli};
 use membit_core::{
-    DeploymentPolicy, DeviceEvalConfig, DeviceVgg, GboConfig, GboScorer, GboTrainer,
-    MemseNetwork,
+    DeploymentPolicy, DeviceEvalConfig, DeviceVgg, GboConfig, GboTrainer, MemseNetwork,
 };
 use membit_tensor::{Rng, RngStream, Tensor};
 use membit_xbar::XbarConfig;
@@ -114,7 +114,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             let pulses = vec![q; layers];
             // the fast-path hook under test: swap encodings in place
             device.reconfigure_encoding(&pulses)?;
-            let analytic = f64::from(net.fluctuating_mse(&pulses)?);
+            let analytic = f64::from(net.score(&pulses)?.fluct_mse);
             // paired MC: E‖y_a − y_b‖²/2 over disjoint run pairs
             let mut runs: Vec<Vec<f32>> = Vec::with_capacity(repeats);
             for _ in 0..repeats {
@@ -177,14 +177,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let (vgg, params) = exp.model_mut();
         let mut mc_trainer = GboTrainer::new(layers, cfg.clone())?;
         let t = Instant::now();
-        let mc_result = mc_trainer.search_scored(
-            vgg,
-            params,
-            &train,
-            &calibration,
-            sigma_paper,
-            GboScorer::MonteCarlo,
-        )?;
+        let mc_result = mc_trainer.search(vgg, params, &train, &calibration, sigma_paper)?;
         let mc_secs = t.elapsed().as_secs_f64();
         let t = Instant::now();
         let net = MemseNetwork::from_vgg(vgg, params, &search_probe, &sigma_abs)?;
@@ -192,18 +185,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         let sel = net.analytic_search(&cfg.pulse_lengths(), gamma)?;
         let mut an_trainer = GboTrainer::new(layers, cfg.clone())?;
         let t = Instant::now();
-        let an_result = an_trainer.search_scored(
-            vgg,
-            params,
-            &train,
-            &calibration,
-            sigma_paper,
-            GboScorer::Analytic(&net),
-        )?;
+        let an_result = an_trainer.search_analytic(&net)?;
         let an_search_secs = t.elapsed().as_secs_f64();
         assert_eq!(
             an_result.selected_pulses, sel.pulses,
-            "scorer plumbing must reproduce the raw analytic selection"
+            "trainer plumbing must reproduce the raw analytic selection"
         );
         (
             mc_result,

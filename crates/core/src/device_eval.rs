@@ -93,13 +93,88 @@ pub(crate) enum ConvKernel {
     },
 }
 
-pub(crate) struct DeviceConvLayer {
-    pub(crate) kernel: ConvKernel,
+/// Geometry and digital periphery of one conv layer: everything but its
+/// MVM. Shared by the deployment and the `memse` analytic capture.
+#[derive(Clone)]
+pub(crate) struct ConvLayout {
+    /// im2col geometry of the activations entering the layer.
     pub(crate) geom: Conv2dGeometry,
     pub(crate) out_channels: usize,
+    /// Folded batch norm, per channel.
     pub(crate) scale: Tensor,
     pub(crate) shift: Tensor,
+    /// 2×2 max pool after the activation quantizer.
     pub(crate) pool: bool,
+}
+
+pub(crate) struct DeviceConvLayer {
+    pub(crate) kernel: ConvKernel,
+    pub(crate) layout: ConvLayout,
+}
+
+/// The digital periphery after the conv stack: the hidden FC's folded
+/// batch norm and the classifier weights `[classes, fc_dim]`.
+#[derive(Clone)]
+pub(crate) struct HeadLayout {
+    /// Flattened conv output width, the hidden FC's input.
+    pub(crate) feature_dim: usize,
+    pub(crate) fc_scale: Tensor,
+    pub(crate) fc_shift: Tensor,
+    pub(crate) classifier_w: Tensor,
+}
+
+/// A trained VGG laid out for deployment: per conv its deployed weight
+/// matrix `[out, patch]` and [`ConvLayout`], the hidden FC's deployed
+/// weights `[fc_dim, feature_dim]`, and the [`HeadLayout`].
+pub(crate) struct VggLayout {
+    pub(crate) convs: Vec<(Tensor, ConvLayout)>,
+    pub(crate) fc_w: Tensor,
+    pub(crate) head: HeadLayout,
+}
+
+/// Walks `vgg`'s layers once: conv geometry (3×3, stride 1, pad 1,
+/// halved after each pool), deployed weights and folded batch norm.
+/// Consumes no RNG.
+pub(crate) fn vgg_layout(vgg: &Vgg, params: &Params) -> Result<VggLayout> {
+    let config = vgg.config();
+    let (mut h, mut w) = (config.in_h, config.in_w);
+    let mut in_ch = config.in_channels;
+    let mut convs = Vec::with_capacity(config.channels.len());
+    for (i, conv) in vgg.convs().iter().enumerate() {
+        let oc = conv.out_channels();
+        let geom = Conv2dGeometry::new(in_ch, h, w, 3, 3, 1, 1)?;
+        let wmat = conv
+            .deployed_weight(params)
+            .reshape(&[oc, geom.patch_len()])?;
+        let (scale, shift) = vgg.conv_bns()[i].fold_eval(params);
+        let pool = config.pool_after.contains(&i);
+        convs.push((
+            wmat,
+            ConvLayout {
+                geom,
+                out_channels: oc,
+                scale,
+                shift,
+                pool,
+            },
+        ));
+        in_ch = oc;
+        if pool {
+            h /= 2;
+            w /= 2;
+        }
+    }
+    let (fc_scale, fc_shift) = vgg.fc_bn().fold_eval(params);
+    Ok(VggLayout {
+        convs,
+        fc_w: vgg.fc_hidden().deployed_weight(params),
+        head: HeadLayout {
+            feature_dim: config.feature_dim(),
+            fc_scale,
+            fc_shift,
+            classifier_w: vgg.classifier().deployed_weight(params),
+        },
+    })
 }
 
 /// The deployed network. (Fields are `pub(crate)` so the `memse`
@@ -108,12 +183,9 @@ pub(crate) struct DeviceConvLayer {
 pub struct DeviceVgg {
     pub(crate) convs: Vec<DeviceConvLayer>,
     pub(crate) fc_engine: CrossbarLinear,
-    pub(crate) fc_scale: Tensor,
-    pub(crate) fc_shift: Tensor,
     pub(crate) fc_pulses: usize,
-    pub(crate) classifier_w: Tensor,
-    pub(crate) classifier_b: Tensor,
-    pub(crate) feature_dim: usize,
+    pub(crate) head: HeadLayout,
+    classifier_b: Tensor,
     pub(crate) act_levels: usize,
     num_classes: usize,
     /// `[C, H, W]` of one input sample, captured at deploy time so
@@ -156,16 +228,9 @@ impl DeviceVgg {
                 TensorError::InvalidArgument("pulse counts must be nonzero".into()).into(),
             );
         }
-        let (mut h, mut w) = (config.in_h, config.in_w);
-        let mut in_ch = config.in_channels;
-        let mut convs = Vec::with_capacity(config.channels.len());
-        for (i, conv) in vgg.convs().iter().enumerate() {
-            let oc = conv.out_channels();
-            let geom = Conv2dGeometry::new(in_ch, h, w, 3, 3, 1, 1)?;
-            let deployed = conv.deployed_weight(params);
-            let wmat = deployed.reshape(&[oc, geom.patch_len()])?;
-            let (scale, shift) = vgg.conv_bns()[i].fold_eval(params);
-            let pool = config.pool_after.contains(&i);
+        let layout = vgg_layout(vgg, params)?;
+        let mut convs = Vec::with_capacity(layout.convs.len());
+        for (i, (wmat, conv)) in layout.convs.into_iter().enumerate() {
             let kernel = if i == 0 {
                 // the first conv runs digitally: no crossbar engine, no
                 // RNG draws, no program/recovery stats for this layer
@@ -182,25 +247,13 @@ impl DeviceVgg {
             };
             convs.push(DeviceConvLayer {
                 kernel,
-                geom,
-                out_channels: oc,
-                scale,
-                shift,
-                pool,
+                layout: conv,
             });
-            in_ch = oc;
-            if pool {
-                h /= 2;
-                w /= 2;
-            }
         }
-        let fc_w = vgg.fc_hidden().deployed_weight(params);
-        let mut fc_engine = CrossbarLinear::program(&fc_w, &cfg.xbar, rng)?;
+        let mut fc_engine = CrossbarLinear::program(&layout.fc_w, &cfg.xbar, rng)?;
         if let Some(policy) = &cfg.policy.recovery {
             fc_engine.remap(policy, rng)?;
         }
-        let (fc_scale, fc_shift) = vgg.fc_bn().fold_eval(params);
-        let classifier_w = vgg.classifier().deployed_weight(params);
         let classifier_b = vgg
             .classifier()
             .bias()
@@ -212,12 +265,9 @@ impl DeviceVgg {
         Ok(Self {
             convs,
             fc_engine,
-            fc_scale,
-            fc_shift,
             fc_pulses,
-            classifier_w,
+            head: layout.head,
             classifier_b,
-            feature_dim: config.feature_dim(),
             act_levels: cfg.act_levels,
             num_classes: config.num_classes,
             input_shape: config.input_shape(),
@@ -248,15 +298,15 @@ impl DeviceVgg {
         // (sized by the largest lowering, allocated once per forward)
         let mut col_buf: Vec<f32> = Vec::new();
         let act_levels = self.act_levels;
-        for layer in &mut self.convs {
-            let (oh, ow) = (layer.geom.out_h(), layer.geom.out_w());
-            im2col_into(&act, &layer.geom, &mut col_buf)?;
-            let rows = col_buf.len() / layer.geom.patch_len();
+        for DeviceConvLayer { kernel, layout } in &mut self.convs {
+            let (oh, ow) = (layout.geom.out_h(), layout.geom.out_w());
+            im2col_into(&act, &layout.geom, &mut col_buf)?;
+            let rows = col_buf.len() / layout.geom.patch_len();
             let cols = Tensor::from_vec(
                 std::mem::take(&mut col_buf),
-                &[rows, layer.geom.patch_len()],
+                &[rows, layout.geom.patch_len()],
             )?;
-            let out_rows = match &mut layer.kernel {
+            let out_rows = match kernel {
                 ConvKernel::Digital(wmat) => cols.matmul(&wmat.transpose()?)?,
                 ConvKernel::Crossbar { engine, pulses } => {
                     let enc = PlaThermometer::new(act_levels, *pulses)?;
@@ -268,27 +318,27 @@ impl DeviceVgg {
             };
             col_buf = cols.into_vec(); // hand the allocation to the next layer
             let mut out = out_rows
-                .into_reshaped(&[n, oh, ow, layer.out_channels])?
+                .into_reshaped(&[n, oh, ow, layout.out_channels])?
                 .nhwc_to_nchw()?;
             // digital periphery: BN fold, tanh, re-quantize
-            out = out.channel_map(&layer.scale, |v, s| v * s)?;
-            out = out.channel_map(&layer.shift, |v, t| v + t)?;
+            out = out.channel_map(&layout.scale, |v, s| v * s)?;
+            out = out.channel_map(&layout.shift, |v, t| v + t)?;
             out = quantize_tensor(&out.tanh(), self.act_levels);
-            if layer.pool {
+            if layout.pool {
                 out = max_pool2(&out)?;
             }
             act = out;
         }
-        let flat = act.into_reshaped(&[n, self.feature_dim])?;
+        let flat = act.into_reshaped(&[n, self.head.feature_dim])?;
         let enc = PlaThermometer::new(self.act_levels, self.fc_pulses)?;
         let train = enc.encode_tensor(&flat)?;
         let (mut f, s) = self.fc_engine.execute_guarded(&train, rng)?;
         stats.merge(&s);
-        f = f
-            .mul(&self.fc_scale)?
-            .add(&self.fc_shift)?;
+        f = f.mul(&self.head.fc_scale)?.add(&self.head.fc_shift)?;
         f = quantize_tensor(&f.tanh(), self.act_levels);
-        let logits = f.matmul(&self.classifier_w.transpose()?)?.add(&self.classifier_b)?;
+        let logits = f
+            .matmul(&self.head.classifier_w.transpose()?)?
+            .add(&self.classifier_b)?;
         Ok((logits, stats))
     }
 
@@ -349,17 +399,11 @@ impl DeviceVgg {
         }
         self.vectors_since_check = 0;
         let mut refreshed = 0u64;
-        for layer in &mut self.convs {
-            if let ConvKernel::Crossbar { engine, .. } = &mut layer.kernel {
-                if monitor.needs_refresh(engine.measure_decay(monitor.probes, rng)) {
-                    engine.refresh(rng);
-                    refreshed += 1;
-                }
+        for engine in self.engines_mut() {
+            if monitor.needs_refresh(engine.measure_decay(monitor.probes, rng)) {
+                engine.refresh(rng);
+                refreshed += 1;
             }
-        }
-        if monitor.needs_refresh(self.fc_engine.measure_decay(monitor.probes, rng)) {
-            self.fc_engine.refresh(rng);
-            refreshed += 1;
         }
         self.refreshes += refreshed;
     }
@@ -597,12 +641,9 @@ impl DeviceVgg {
     /// [`membit_xbar::Tile::age`]. The digital first conv and classifier
     /// are unaffected.
     pub fn age(&mut self, hours: f32, nu: f32, nu_sigma: f32, rng: &mut Rng) {
-        for layer in &mut self.convs {
-            if let ConvKernel::Crossbar { engine, .. } = &mut layer.kernel {
-                engine.age(hours, nu, nu_sigma, rng);
-            }
+        for engine in self.engines_mut() {
+            engine.age(hours, nu, nu_sigma, rng);
         }
-        self.fc_engine.age(hours, nu, nu_sigma, rng);
     }
 }
 

@@ -121,26 +121,6 @@ impl GboResult {
     }
 }
 
-/// Pluggable accuracy-term scorer for the GBO search.
-///
-/// The paper's Eq. 6 objective is `CE + γ·latency`; how the accuracy
-/// term is *estimated* is orthogonal to the search:
-///
-/// * [`MonteCarlo`](Self::MonteCarlo) samples the Eq. 5 noise mixture
-///   every minibatch and descends λ with Adam — the paper's stochastic
-///   path, faithful but slow (epochs of tape forwards + backwards).
-/// * [`Analytic`](Self::Analytic) replaces the sampled CE degradation
-///   with the closed-form MemSE logit error of a captured
-///   [`MemseNetwork`] and optimizes by deterministic coordinate
-///   descent — no sampling, no tape, milliseconds per full λ-sweep.
-pub enum GboScorer<'a> {
-    /// Stochastic Eq. 5/6 scoring (delegates to [`GboTrainer::search`]).
-    MonteCarlo,
-    /// Closed-form MemSE scoring over a captured analytic network
-    /// (delegates to [`GboTrainer::search_analytic`]).
-    Analytic(&'a MemseNetwork),
-}
-
 /// The live hook used during search: binds λ, computes α, and applies the
 /// Eq. 5 noise mixture at every crossbar layer.
 struct GboSearchHook<'a> {
@@ -253,30 +233,6 @@ impl GboTrainer {
             paper_sigma,
             &ResilienceConfig::default(),
         )
-    }
-
-    /// Runs the search with an explicit scorer: the Monte-Carlo variant
-    /// is exactly [`search`](Self::search); the analytic variant ignores
-    /// `model`/`train`/`calibration` (the captured [`MemseNetwork`]
-    /// already embeds the network and noise) and runs
-    /// [`search_analytic`](Self::search_analytic).
-    ///
-    /// # Errors
-    ///
-    /// As the delegated search.
-    pub fn search_scored(
-        &mut self,
-        model: &mut dyn CrossbarModel,
-        params: &Params,
-        train: &Dataset,
-        calibration: &NoiseCalibration,
-        paper_sigma: f32,
-        scorer: GboScorer<'_>,
-    ) -> Result<GboResult> {
-        match scorer {
-            GboScorer::MonteCarlo => self.search(model, params, train, calibration, paper_sigma),
-            GboScorer::Analytic(net) => self.search_analytic(net),
-        }
     }
 
     /// Analytic MemSE search: per-layer coordinate descent over

@@ -74,7 +74,7 @@ mod watchdog;
 pub use calibrate::{calibrate_noise, NoiseCalibration};
 pub use device_eval::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg};
 pub use error::{DivergenceReason, TrainError};
-pub use gbo::{GboConfig, GboResult, GboScorer, GboTrainer};
+pub use gbo::{GboConfig, GboResult, GboTrainer};
 pub use memse::{AnalyticSelection, MemseNetwork, MemseScore, TileAllocation};
 pub use hooks::{
     GaussianMvmNoise, NanFault, NanFaultMode, PlaHook, RmsRecorder, SingleLayerNoise,

@@ -44,6 +44,8 @@
 //! tractable (see [`MemseNetwork::analytic_search`] and
 //! [`MemseNetwork::tile_allocation`]).
 
+use std::ops::Range;
+
 use membit_encoding::pla::PlaThermometer;
 use membit_nn::{
     max_pool2_moments, normal_cdf, tanh_quantize_moments, tanh_quantize_moments_mapped,
@@ -52,44 +54,10 @@ use membit_nn::{
 use membit_tensor::{im2col_into, Conv2dGeometry, Tensor, TensorError};
 use membit_xbar::CrossbarLinear;
 
-use crate::device_eval::{quantize_tensor, ConvKernel, DeviceVgg};
+use crate::device_eval::{
+    quantize_tensor, vgg_layout, ConvKernel, ConvLayout, DeviceVgg, HeadLayout,
+};
 use crate::Result;
-
-/// Per-candidate pulse allocation resolved for one walk.
-enum Alloc<'a> {
-    /// One pulse count per crossbar operator.
-    Uniform(&'a [usize]),
-    /// Per-operator, per-column-tile-group pulse counts.
-    Tiled(&'a [Vec<usize>]),
-}
-
-impl Alloc<'_> {
-    fn ops(&self) -> usize {
-        match self {
-            Alloc::Uniform(qs) => qs.len(),
-            Alloc::Tiled(qs) => qs.len(),
-        }
-    }
-
-    /// Pulse counts for operator `op`, one per column group.
-    fn op_qs(&self, op: usize, groups: usize) -> Result<Vec<usize>> {
-        let qs = match self {
-            Alloc::Uniform(qs) => vec![qs[op]; groups],
-            Alloc::Tiled(qs) => qs[op].clone(),
-        };
-        if qs.len() != groups {
-            return Err(TensorError::InvalidArgument(format!(
-                "operator {op} has {groups} column groups, allocation supplies {}",
-                qs.len()
-            ))
-            .into());
-        }
-        if qs.contains(&0) {
-            return Err(TensorError::InvalidArgument("pulse counts must be nonzero".into()).into());
-        }
-        Ok(qs)
-    }
-}
 
 /// Intrinsic read-noise model of one crossbar operator.
 struct IntrinsicOp {
@@ -134,11 +102,7 @@ impl IntrinsicOp {
 
 /// One conv stage of the captured network.
 struct ConvStage {
-    /// im2col geometry of the activations entering this layer.
-    geom: Conv2dGeometry,
-    out_channels: usize,
-    oh: usize,
-    ow: usize,
+    layout: ConvLayout,
     /// Deployed (effective) operator matrix, transposed `[patch, out]` —
     /// propagates the operating trajectory.
     e_t: Tensor,
@@ -146,11 +110,8 @@ struct ConvStage {
     w_sq_t: Tensor,
     /// Crossbar read-noise model; `None` for the digital first conv.
     intrinsic: Option<IntrinsicOp>,
-    /// Folded BN, per channel.
-    scale: Tensor,
-    shift: Tensor,
+    /// Squared folded BN scale, per channel.
     scale_sq: Tensor,
-    pool: bool,
 }
 
 /// The hidden-FC stage.
@@ -162,10 +123,8 @@ struct FcStage {
     e_t: Tensor,
     w_sq_t: Tensor,
     intrinsic: IntrinsicOp,
-    scale: Tensor,
-    shift: Tensor,
+    /// Squared folded BN scale.
     scale_sq: Tensor,
-    feature_dim: usize,
 }
 
 /// Analytic score of one candidate encoding.
@@ -236,10 +195,11 @@ pub struct MemseNetwork {
     probe: Tensor,
     convs: Vec<ConvStage>,
     fc: FcStage,
-    /// Classifier matrix `[classes, fc_dim]` (bias cancels in every
-    /// error difference and is omitted), plus its transpose and
-    /// squared-transpose for the contraction forms.
-    cls_w: Tensor,
+    /// FC batch norm and classifier matrix `[classes, fc_dim]` (the
+    /// bias cancels in every error difference and is omitted).
+    head: HeadLayout,
+    /// Classifier transpose and squared-transpose for the contraction
+    /// forms.
     cls_w_t: Tensor,
     cls_w_sq_t: Tensor,
     act_levels: usize,
@@ -265,28 +225,23 @@ impl MemseNetwork {
     ///
     /// Propagates shape errors; rejects an empty probe.
     pub fn from_device(device: &DeviceVgg, probe: &Tensor) -> Result<Self> {
+        let convs = device
+            .convs
+            .iter()
+            .map(|layer| {
+                let plan = match &layer.kernel {
+                    ConvKernel::Digital(wmat) => LayerPlan::Digital(wmat.clone()),
+                    ConvKernel::Crossbar { engine, .. } => LayerPlan::Engine(engine.as_ref()),
+                };
+                (plan, layer.layout.clone())
+            })
+            .collect();
         Self::build(
             probe,
             device.act_levels,
-            |layer| match &device.convs[layer].kernel {
-                ConvKernel::Digital(wmat) => LayerPlan::Digital(wmat.clone()),
-                ConvKernel::Crossbar { engine, .. } => LayerPlan::Engine(engine.as_ref()),
-            },
-            device.convs.len(),
-            ConvPeriphery {
-                geoms: device.convs.iter().map(|l| l.geom).collect(),
-                out_channels: device.convs.iter().map(|l| l.out_channels).collect(),
-                scales: device.convs.iter().map(|l| l.scale.clone()).collect(),
-                shifts: device.convs.iter().map(|l| l.shift.clone()).collect(),
-                pools: device.convs.iter().map(|l| l.pool).collect(),
-            },
-            FcPlan {
-                engine: FcKind::Engine(&device.fc_engine),
-                scale: device.fc_scale.clone(),
-                shift: device.fc_shift.clone(),
-                feature_dim: device.feature_dim,
-            },
-            device.classifier_w.clone(),
+            convs,
+            LayerPlan::Engine(&device.fc_engine),
+            device.head.clone(),
         )
     }
 
@@ -315,78 +270,40 @@ impl MemseNetwork {
             ))
             .into());
         }
-        let (mut h, mut w) = (config.in_h, config.in_w);
-        let mut in_ch = config.in_channels;
-        let mut geoms = Vec::new();
-        let mut out_channels = Vec::new();
-        let mut scales = Vec::new();
-        let mut shifts = Vec::new();
-        let mut pools = Vec::new();
-        let mut wmats = Vec::new();
-        for (i, conv) in vgg.convs().iter().enumerate() {
-            let oc = conv.out_channels();
-            let geom = Conv2dGeometry::new(in_ch, h, w, 3, 3, 1, 1)?;
-            wmats.push(
-                conv.deployed_weight(params)
-                    .reshape(&[oc, geom.patch_len()])?,
-            );
-            let (scale, shift) = vgg.conv_bns()[i].fold_eval(params);
-            let pool = config.pool_after.contains(&i);
-            geoms.push(geom);
-            out_channels.push(oc);
-            scales.push(scale);
-            shifts.push(shift);
-            pools.push(pool);
-            in_ch = oc;
-            if pool {
-                h /= 2;
-                w /= 2;
-            }
-        }
-        let fc_w = vgg.fc_hidden().deployed_weight(params);
-        let (fc_scale, fc_shift) = vgg.fc_bn().fold_eval(params);
-        let cls_w = vgg.classifier().deployed_weight(params);
+        let layout = vgg_layout(vgg, params)?;
+        let convs = layout
+            .convs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (wmat, conv))| {
+                let plan = if i == 0 {
+                    LayerPlan::Digital(wmat)
+                } else {
+                    LayerPlan::Functional(wmat, sigma_abs[i - 1])
+                };
+                (plan, conv)
+            })
+            .collect();
         Self::build(
             probe,
             config.act_levels,
-            |layer| {
-                if layer == 0 {
-                    LayerPlan::Digital(wmats[0].clone())
-                } else {
-                    LayerPlan::Functional(wmats[layer].clone(), sigma_abs[layer - 1])
-                }
-            },
-            wmats.len(),
-            ConvPeriphery {
-                geoms,
-                out_channels,
-                scales,
-                shifts,
-                pools,
-            },
-            FcPlan {
-                engine: FcKind::Functional(
-                    fc_w,
-                    *sigma_abs.last().expect("validated non-empty above"),
-                ),
-                scale: fc_scale,
-                shift: fc_shift,
-                feature_dim: config.feature_dim(),
-            },
-            cls_w,
+            convs,
+            LayerPlan::Functional(
+                layout.fc_w,
+                *sigma_abs.last().expect("validated non-empty above"),
+            ),
+            layout.head,
         )
     }
 
     /// Shared constructor: assembles the stages and runs the clean
     /// logical reference forward once.
-    fn build<'a>(
+    fn build(
         probe: &Tensor,
         act_levels: usize,
-        plan: impl Fn(usize) -> LayerPlan<'a>,
-        layers: usize,
-        periphery: ConvPeriphery,
-        fc: FcPlan<'_>,
-        cls_w: Tensor,
+        conv_plans: Vec<(LayerPlan<'_>, ConvLayout)>,
+        fc: LayerPlan<'_>,
+        head: HeadLayout,
     ) -> Result<Self> {
         let n = probe.shape().first().copied().unwrap_or(0);
         if n == 0 {
@@ -394,38 +311,13 @@ impl MemseNetwork {
         }
         let mut act = probe.clone();
         let mut col_buf: Vec<f32> = Vec::new();
-        let mut convs = Vec::with_capacity(layers);
-        for layer in 0..layers {
-            let geom = periphery.geoms[layer];
-            let oc = periphery.out_channels[layer];
-            let (logical, e_t, w_sq_t, intrinsic) = match plan(layer) {
-                LayerPlan::Digital(wmat) => {
-                    let e_t = wmat.transpose()?;
-                    let w_sq_t = wmat.map(|v| v * v).transpose()?;
-                    (wmat, e_t, w_sq_t, None)
-                }
-                LayerPlan::Engine(engine) => {
-                    let effective = engine.effective_matrix();
-                    let e_t = effective.transpose()?;
-                    let w_sq_t = effective.map(|v| v * v).transpose()?;
-                    (
-                        engine.logical_matrix(),
-                        e_t,
-                        w_sq_t,
-                        Some(IntrinsicOp::from_engine(engine)),
-                    )
-                }
-                LayerPlan::Functional(wmat, sigma) => {
-                    let e_t = wmat.transpose()?;
-                    let w_sq_t = wmat.map(|v| v * v).transpose()?;
-                    (
-                        wmat.clone(),
-                        e_t,
-                        w_sq_t,
-                        Some(IntrinsicOp::functional(oc, sigma)),
-                    )
-                }
-            };
+        let mut convs = Vec::with_capacity(conv_plans.len());
+        for (plan, layout) in conv_plans {
+            let geom = layout.geom;
+            let oc = layout.out_channels;
+            let (logical, effective, intrinsic) = plan.resolve();
+            let e_t = effective.transpose()?;
+            let w_sq_t = effective.map(|v| v * v).transpose()?;
             // advance the clean logical reference
             im2col_into(&act, &geom, &mut col_buf)?;
             let rows = col_buf.len() / geom.patch_len();
@@ -434,57 +326,30 @@ impl MemseNetwork {
             col_buf = cols.into_vec();
             let (oh, ow) = (geom.out_h(), geom.out_w());
             let mut out = out_rows.into_reshaped(&[n, oh, ow, oc])?.nhwc_to_nchw()?;
-            out = out.channel_map(&periphery.scales[layer], |v, s| v * s)?;
-            out = out.channel_map(&periphery.shifts[layer], |v, t| v + t)?;
+            out = out.channel_map(&layout.scale, |v, s| v * s)?;
+            out = out.channel_map(&layout.shift, |v, t| v + t)?;
             out = quantize_tensor(&out.tanh(), act_levels);
-            if periphery.pools[layer] {
+            if layout.pool {
                 out = max_pool2_moments(&out, &Tensor::zeros(out.shape()))?.0;
             }
             act = out;
             convs.push(ConvStage {
-                geom,
-                out_channels: oc,
-                oh,
-                ow,
                 e_t,
                 w_sq_t,
                 intrinsic,
-                scale: periphery.scales[layer].clone(),
-                shift: periphery.shifts[layer].clone(),
-                scale_sq: periphery.scales[layer].map(|v| v * v),
-                pool: periphery.pools[layer],
+                scale_sq: layout.scale.map(|v| v * v),
+                layout,
             });
         }
-        let flat = act.into_reshaped(&[n, fc.feature_dim])?;
-        let (fc_logical, fc_e, fc_e_t, fc_w_sq_t, fc_intrinsic) = match fc.engine {
-            FcKind::Engine(engine) => {
-                let effective = engine.effective_matrix();
-                (
-                    engine.logical_matrix(),
-                    effective.clone(),
-                    effective.transpose()?,
-                    effective.map(|v| v * v).transpose()?,
-                    IntrinsicOp::from_engine(engine),
-                )
-            }
-            FcKind::Functional(wmat, sigma) => {
-                let out = wmat.shape()[0];
-                let e_t = wmat.transpose()?;
-                let w_sq_t = wmat.map(|v| v * v).transpose()?;
-                (
-                    wmat.clone(),
-                    wmat,
-                    e_t,
-                    w_sq_t,
-                    IntrinsicOp::functional(out, sigma),
-                )
-            }
-        };
+        let flat = act.into_reshaped(&[n, head.feature_dim])?;
+        let (fc_logical, fc_e, fc_intrinsic) = fc.resolve();
+        let fc_intrinsic = fc_intrinsic.expect("the hidden FC runs on a crossbar");
         let fc_ref = flat
             .matmul(&fc_logical.transpose()?)?
-            .mul(&fc.scale)?
-            .add(&fc.shift)?;
+            .mul(&head.fc_scale)?
+            .add(&head.fc_shift)?;
         let fc_ref = quantize_tensor(&fc_ref.tanh(), act_levels);
+        let cls_w = &head.classifier_w;
         let cls_w_t = cls_w.transpose()?;
         let logical_logits = fc_ref.matmul(&cls_w_t)?;
         let classes = cls_w.shape()[0];
@@ -508,18 +373,15 @@ impl MemseNetwork {
             probe: probe.clone(),
             convs,
             fc: FcStage {
+                e_t: fc_e.transpose()?,
+                w_sq_t: fc_e.map(|v| v * v).transpose()?,
                 e: fc_e,
-                e_t: fc_e_t,
-                w_sq_t: fc_w_sq_t,
                 intrinsic: fc_intrinsic,
-                scale: fc.scale.clone(),
-                shift: fc.shift,
-                scale_sq: fc.scale.map(|v| v * v),
-                feature_dim: fc.feature_dim,
+                scale_sq: head.fc_scale.map(|v| v * v),
             },
             cls_w_sq_t: cls_w.map(|v| v * v).transpose()?,
             cls_w_t,
-            cls_w,
+            head,
             act_levels,
             samples: n,
             logical_logits,
@@ -531,19 +393,21 @@ impl MemseNetwork {
     /// crossbar convs in deployment order, hidden FC last — the same
     /// layout as [`crate::DeviceEvalConfig::pulses`]).
     pub fn crossbar_ops(&self) -> usize {
-        self.convs.iter().filter(|c| c.intrinsic.is_some()).count() + 1
+        self.intrinsics().count()
     }
 
     /// Column-tile group count per crossbar operator (deployment
     /// layout) — the granularity [`Self::tile_allocation`] optimizes.
     pub fn column_groups(&self) -> Vec<usize> {
-        let mut groups: Vec<usize> = self
-            .convs
+        self.intrinsics().map(|m| m.groups).collect()
+    }
+
+    /// Read-noise model of every crossbar operator, deployment layout.
+    fn intrinsics(&self) -> impl Iterator<Item = &IntrinsicOp> {
+        self.convs
             .iter()
-            .filter_map(|c| c.intrinsic.as_ref().map(|m| m.groups))
-            .collect();
-        groups.push(self.fc.intrinsic.groups);
-        groups
+            .filter_map(|c| c.intrinsic.as_ref())
+            .chain(std::iter::once(&self.fc.intrinsic))
     }
 
     /// Scores one uniform-per-layer encoding: closed-form total and
@@ -554,18 +418,14 @@ impl MemseNetwork {
     /// Returns [`TensorError::InvalidArgument`] on a pulse-count layout
     /// mismatch or zero pulse counts; propagates shape errors.
     pub fn score(&self, pulses: &[usize]) -> Result<MemseScore> {
-        self.walk(&Alloc::Uniform(pulses))
-    }
-
-    /// Fluctuating-only analytic MSE — the quantity paired Monte-Carlo
-    /// device runs estimate (persistent and snap error cancel in
-    /// differences).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::score`].
-    pub fn fluctuating_mse(&self, pulses: &[usize]) -> Result<f32> {
-        Ok(self.walk(&Alloc::Uniform(pulses))?.fluct_mse)
+        let groups = self.column_groups();
+        check_ops(pulses.len(), groups.len())?;
+        let alloc: Vec<Vec<usize>> = pulses
+            .iter()
+            .zip(&groups)
+            .map(|(&q, &g)| vec![q; g])
+            .collect();
+        self.score_tiled(&alloc)
     }
 
     /// Scores a per-column-tile-group allocation (see
@@ -575,31 +435,8 @@ impl MemseNetwork {
     ///
     /// As [`Self::score`], plus group-count mismatches.
     pub fn score_tiled(&self, pulses: &[Vec<usize>]) -> Result<MemseScore> {
-        self.walk(&Alloc::Tiled(pulses))
-    }
-
-    /// One trajectory + variance walk. Deterministic, RNG-free, pure
-    /// `f32`.
-    fn walk(&self, alloc: &Alloc<'_>) -> Result<MemseScore> {
-        let ops = self.crossbar_ops();
-        if alloc.ops() != ops {
-            return Err(TensorError::InvalidArgument(format!(
-                "{} pulse allocations for {ops} crossbar operators",
-                alloc.ops()
-            ))
-            .into());
-        }
-        let mut state = self.initial_state();
-        let mut op = 0usize;
-        for idx in 0..self.convs.len() {
-            state = self.advance_conv(idx, alloc, &mut op, state)?;
-        }
-        self.finish(alloc, op, state)
-    }
-
-    /// The walk's starting state: probe trajectory, zero error variance.
-    fn initial_state(&self) -> WalkState {
-        WalkState::Input(self.probe.clone())
+        check_ops(pulses.len(), self.crossbar_ops())?;
+        self.score_from(pulses, 0, 0, WalkState::Input(self.probe.clone()))
     }
 
     /// Resolves a walk state into the (mean, variance) pair the next
@@ -659,22 +496,20 @@ impl MemseNetwork {
     /// entering conv stage `start` (`op` operators already consumed).
     /// Coordinate descent sweeps one operator at a time, so everything
     /// upstream of the swept operator is fixed — caching the prefix
-    /// turns each evaluation into a suffix-only walk. Stage arithmetic
-    /// is identical to [`Self::walk`], so cached and full evaluations
-    /// agree bitwise.
+    /// turns each evaluation into a suffix-only walk. [`Self::score_tiled`]
+    /// is this call from the probe at stage 0, so cached and full
+    /// evaluations run the same stage arithmetic and agree bitwise.
     fn score_from(
         &self,
-        alloc: &Alloc<'_>,
+        alloc: &[Vec<usize>],
         start: usize,
-        op: usize,
-        state: &WalkState,
+        mut op: usize,
+        mut state: WalkState,
     ) -> Result<MemseScore> {
-        let mut st = state.clone();
-        let mut op = op;
         for idx in start..self.convs.len() {
-            st = self.advance_conv(idx, alloc, &mut op, st)?;
+            state = self.advance_conv(idx, alloc, &mut op, state)?;
         }
-        self.finish(alloc, op, st)
+        self.finish(alloc, op, state)
     }
 
     /// Propagates (trajectory, variance) through conv stage `idx`,
@@ -683,57 +518,63 @@ impl MemseNetwork {
     fn advance_conv(
         &self,
         idx: usize,
-        alloc: &Alloc<'_>,
+        alloc: &[Vec<usize>],
         op: &mut usize,
         state: WalkState,
     ) -> Result<WalkState> {
         let stage = &self.convs[idx];
         let (m_out, v_out) = if let Some(intr) = &stage.intrinsic {
-            let qs = alloc.op_qs(*op, intr.groups)?;
+            let qs = op_qs(alloc, *op, intr.groups)?;
             *op += 1;
             let (m, v) = gathered_product(
                 |q| {
                     let (mean, var) = self.materialize(&state, Some(q))?;
-                    im2col_pair(&mean, &var, &stage.geom)
+                    im2col_pair(&mean, &var, &stage.layout.geom)
                 },
                 &stage.e_t,
                 &stage.w_sq_t,
-                &qs,
+                qs,
                 &intr.col_group,
             )?;
-            (m, add_fluct(v, &intr.a_col, &qs, &intr.col_group)?)
+            (m, add_fluct(v, &intr.a_col, qs, &intr.col_group)?)
         } else {
             let (mean, var) = self.materialize(&state, None)?;
-            let (mcols, vcols) = im2col_pair(&mean, &var, &stage.geom)?;
+            let (mcols, vcols) = im2col_pair(&mean, &var, &stage.layout.geom)?;
             (mcols.matmul(&stage.e_t)?, vcols.matmul(&stage.w_sq_t)?)
         };
-        let shape = [self.samples, stage.oh, stage.ow, stage.out_channels];
+        let layout = &stage.layout;
+        let shape = [
+            self.samples,
+            layout.geom.out_h(),
+            layout.geom.out_w(),
+            layout.out_channels,
+        ];
         let mut m = m_out.into_reshaped(&shape)?.nhwc_to_nchw()?;
         let mut v = v_out.into_reshaped(&shape)?.nhwc_to_nchw()?;
-        m = m.channel_map(&stage.scale, |x, s| x * s)?;
-        m = m.channel_map(&stage.shift, |x, t| x + t)?;
+        m = m.channel_map(&layout.scale, |x, s| x * s)?;
+        m = m.channel_map(&layout.shift, |x, t| x + t)?;
         v = v.channel_map(&stage.scale_sq, |x, s| x * s)?;
         Ok(WalkState::Pre {
             mean: m,
             var: v,
-            pool: stage.pool,
+            pool: layout.pool,
         })
     }
 
     /// The walk's FC tail: hidden FC (always a crossbar operator, last
     /// pulse slot), activation quantizer, covariance-aware classifier
     /// contraction, and the fluct + bias total.
-    fn finish(&self, alloc: &Alloc<'_>, op: usize, state: WalkState) -> Result<MemseScore> {
-        let qs = alloc.op_qs(op, self.fc.intrinsic.groups)?;
+    fn finish(&self, alloc: &[Vec<usize>], op: usize, state: WalkState) -> Result<MemseScore> {
+        let qs = op_qs(alloc, op, self.fc.intrinsic.groups)?;
         // materialized FC input, snapped at the dominant (max) pulse
         // count: exact for uniform allocations (the common path), the
         // dominant-group approximation for the covariance cross-terms
         // of a mixed per-tile allocation
         let q_star = qs.iter().copied().max().unwrap_or(1);
         let (mean_star, var_star) = self.materialize(&state, Some(q_star))?;
-        let mean_flat = mean_star.into_reshaped(&[self.samples, self.fc.feature_dim])?;
-        let var_flat = var_star.into_reshaped(&[self.samples, self.fc.feature_dim])?;
-        let mut distinct = qs.clone();
+        let mean_flat = mean_star.into_reshaped(&[self.samples, self.head.feature_dim])?;
+        let var_flat = var_star.into_reshaped(&[self.samples, self.head.feature_dim])?;
+        let mut distinct = qs.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
         // propagated-only output variance — also the diagonal of the
@@ -748,23 +589,23 @@ impl MemseNetwork {
                 |q| {
                     let (mean, var) = self.materialize(&state, Some(q))?;
                     Ok((
-                        mean.into_reshaped(&[self.samples, self.fc.feature_dim])?,
-                        var.into_reshaped(&[self.samples, self.fc.feature_dim])?,
+                        mean.into_reshaped(&[self.samples, self.head.feature_dim])?,
+                        var.into_reshaped(&[self.samples, self.head.feature_dim])?,
                     ))
                 },
                 &self.fc.e_t,
                 &self.fc.w_sq_t,
-                &qs,
+                qs,
                 &self.fc.intrinsic.col_group,
             )?
         };
         let v = add_fluct(
             c_diag.clone(),
             &self.fc.intrinsic.a_col,
-            &qs,
+            qs,
             &self.fc.intrinsic.col_group,
         )?;
-        let m = m.mul(&self.fc.scale)?.add(&self.fc.shift)?;
+        let m = m.mul(&self.head.fc_scale)?.add(&self.head.fc_shift)?;
         let v = v.mul(&self.fc.scale_sq)?;
         let (m, v, gain) = tanh_quantize_moments_with_gain(&m, &v, self.act_levels)?;
         let logits_mean = m.matmul(&self.cls_w_t)?;
@@ -781,7 +622,7 @@ impl MemseNetwork {
         // only guards f32 rounding.) Conv contractions keep the plain
         // independent form: their outputs fan out over many downstream
         // units, where cross terms do average out.
-        let ghat = gain.mul(&self.fc.scale)?;
+        let ghat = gain.mul(&self.head.fc_scale)?;
         let independent = {
             let g2c = ghat.map(|g| g * g).mul(&c_diag)?;
             let d: Vec<f32> = v
@@ -793,15 +634,15 @@ impl MemseNetwork {
             Tensor::from_vec(d, v.shape())?
         };
         let mut logits_var = independent.matmul(&self.cls_w_sq_t)?.into_vec();
-        let classes = self.cls_w.shape()[0];
-        let fc_dim = self.cls_w.shape()[1];
-        let feat = self.fc.feature_dim;
+        let classes = self.head.classifier_w.shape()[0];
+        let fc_dim = self.head.classifier_w.shape()[1];
+        let feat = self.head.feature_dim;
         for s in 0..self.samples {
             let grow = Tensor::from_vec(
                 ghat.as_slice()[s * fc_dim..(s + 1) * fc_dim].to_vec(),
                 &[fc_dim],
             )?;
-            let wg = self.cls_w.mul(&grow)?;
+            let wg = self.head.classifier_w.mul(&grow)?;
             let contracted = wg.matmul(&self.fc.e)?; // [classes, feature]
             let cs = contracted.as_slice();
             let vrow = &var_flat.as_slice()[s * feat..(s + 1) * feat];
@@ -857,15 +698,8 @@ impl MemseNetwork {
     /// [`MemseScore::disagreement`]: near saturation the raw MSE goes
     /// flat while accuracy keeps falling, so MSE makes a poor selection
     /// objective even though it is the validated physical quantity).
-    /// Deterministic: fixed sweep order, strict-improvement updates.
-    ///
-    /// The first sweep tries every candidate per operator; later sweeps
-    /// only probe the immediate neighbors of the incumbent (the window
-    /// re-centers after each accepted move, so multi-step drifts still
-    /// happen within a sweep). Coordinate descent is local either way —
-    /// the restriction only skips re-testing far candidates the full
-    /// first sweep already rejected, cutting evaluations roughly in
-    /// half.
+    /// Every operator starts at the median candidate and moves as a
+    /// whole (all its column groups at one count).
     ///
     /// # Errors
     ///
@@ -878,71 +712,20 @@ impl MemseNetwork {
             )
             .into());
         }
-        let ops = self.crossbar_ops();
-        let mut current = vec![candidates[candidates.len() / 2]; ops];
-        let mut evaluations = 0usize;
-        let objective = |score: &MemseScore, pulses: &[usize]| {
-            score.disagreement + gamma * pulses.iter().sum::<usize>() as f32
-        };
-        let init = self.walk(&Alloc::Uniform(&current))?;
-        evaluations += 1;
-        let mut best_mse = init.mse;
-        let mut best_dis = init.disagreement;
-        let mut best = objective(&init, &current);
-        let mut sweep_objectives = Vec::new();
-        let op_stages = self.op_stages();
-        let idx_of =
-            |q: usize| candidates.iter().position(|&c| c == q).unwrap_or(usize::MAX);
-        for round in 0..4 {
-            let mut improved = false;
-            // walk the prefix once per sweep: the state entering the
-            // swept operator's stage is fixed, so each candidate costs
-            // only a suffix evaluation
-            let mut state = self.initial_state();
-            let mut stage_ptr = 0usize;
-            let mut op_ptr = 0usize;
-            for (l, &target) in op_stages.iter().enumerate() {
-                while stage_ptr < target {
-                    state =
-                        self.advance_conv(stage_ptr, &Alloc::Uniform(&current), &mut op_ptr, state)?;
-                    stage_ptr += 1;
-                }
-                for (qi, &q) in candidates.iter().enumerate() {
-                    if q == current[l] {
-                        continue;
-                    }
-                    // refinement sweeps only probe the incumbent's
-                    // neighbors; the window re-centers after each move
-                    if round > 0 && qi.abs_diff(idx_of(current[l])) > 1 {
-                        continue;
-                    }
-                    let prev = current[l];
-                    current[l] = q;
-                    let sc = self.score_from(&Alloc::Uniform(&current), stage_ptr, op_ptr, &state)?;
-                    evaluations += 1;
-                    let obj = objective(&sc, &current);
-                    if obj < best {
-                        best = obj;
-                        best_mse = sc.mse;
-                        best_dis = sc.disagreement;
-                        improved = true;
-                    } else {
-                        current[l] = prev;
-                    }
-                }
-            }
-            sweep_objectives.push(best);
-            if !improved {
-                break;
-            }
-        }
+        let groups = self.column_groups();
+        let median = candidates[candidates.len() / 2];
+        let mut alloc: Vec<Vec<usize>> = groups.iter().map(|&g| vec![median; g]).collect();
+        let coords: Vec<(usize, Range<usize>)> = groups.iter().map(|&g| 0..g).enumerate().collect();
+        let run = self.descend(candidates, &mut alloc, &coords, |alloc| {
+            gamma * alloc.iter().map(|qs| qs[0]).sum::<usize>() as f32
+        })?;
         Ok(AnalyticSelection {
-            pulses: current,
-            mse: best_mse,
-            disagreement: best_dis,
-            objective: best,
-            sweep_objectives,
-            evaluations,
+            pulses: alloc.iter().map(|qs| qs[0]).collect(),
+            mse: run.score.mse,
+            disagreement: run.score.disagreement,
+            objective: run.objective,
+            sweep_objectives: run.sweep_objectives,
+            evaluations: run.evaluations,
         })
     }
 
@@ -963,7 +746,7 @@ impl MemseNetwork {
         let seed = self.analytic_search(candidates, gamma)?;
         let groups = self.column_groups();
         let shares = self.group_shares();
-        let mut current: Vec<Vec<usize>> = seed
+        let mut alloc: Vec<Vec<usize>> = seed
             .pulses
             .iter()
             .zip(&groups)
@@ -973,105 +756,161 @@ impl MemseNetwork {
             alloc
                 .iter()
                 .zip(&shares)
-                .map(|(qs, sh)| {
-                    qs.iter()
-                        .zip(sh)
-                        .map(|(&q, &s)| q as f32 * s)
-                        .sum::<f32>()
-                })
+                .map(|(qs, sh)| qs.iter().zip(sh).map(|(&q, &s)| q as f32 * s).sum::<f32>())
                 .sum()
         };
-        let mut evaluations = seed.evaluations;
-        let init = self.walk(&Alloc::Tiled(&current))?;
-        evaluations += 1;
-        let mut best_mse = init.mse;
-        let mut best_dis = init.disagreement;
-        let mut best = init.disagreement + gamma * energy(&current);
+        let coords: Vec<(usize, Range<usize>)> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(op, &g)| (0..g).map(move |grp| (op, grp..grp + 1)))
+            .collect();
+        let run = self.descend(candidates, &mut alloc, &coords, |alloc| {
+            gamma * energy(alloc)
+        })?;
+        Ok(TileAllocation {
+            latency: alloc
+                .iter()
+                .map(|qs| qs.iter().copied().max().unwrap_or(0))
+                .sum(),
+            energy: energy(&alloc),
+            pulses: alloc,
+            mse: run.score.mse,
+            disagreement: run.score.disagreement,
+            objective: run.objective,
+            evaluations: seed.evaluations + run.evaluations,
+        })
+    }
+
+    /// The coordinate-descent loop behind both searches: minimizes
+    /// `disagreement + cost(alloc)` over `candidates`, starting from
+    /// `alloc`. Each coordinate `(op, groups)` sets those column groups
+    /// of operator `op` to one count together. Deterministic: fixed
+    /// sweep order, strict-improvement updates, at most four sweeps.
+    ///
+    /// The first sweep tries every candidate per coordinate; later
+    /// sweeps only probe the immediate neighbors of the incumbent (the
+    /// window re-centers after each accepted move, so multi-step drifts
+    /// still happen within a sweep). Coordinate descent is local either
+    /// way — the restriction only skips re-testing far candidates the
+    /// full first sweep already rejected, cutting evaluations roughly in
+    /// half. Each sweep walks the prefix entering an operator's stage
+    /// once, so each candidate costs only a suffix evaluation.
+    fn descend(
+        &self,
+        candidates: &[usize],
+        alloc: &mut [Vec<usize>],
+        coords: &[(usize, Range<usize>)],
+        cost: impl Fn(&[Vec<usize>]) -> f32,
+    ) -> Result<Descent> {
+        let mut score = self.score_tiled(alloc)?;
+        let mut evaluations = 1usize;
+        let mut best = score.disagreement + cost(alloc);
+        let mut sweep_objectives = Vec::new();
         let op_stages = self.op_stages();
-        let idx_of =
-            |q: usize| candidates.iter().position(|&c| c == q).unwrap_or(usize::MAX);
+        let idx_of = |q: usize| {
+            candidates
+                .iter()
+                .position(|&c| c == q)
+                .unwrap_or(usize::MAX)
+        };
         for round in 0..4 {
             let mut improved = false;
-            let mut state = self.initial_state();
+            let mut state = WalkState::Input(self.probe.clone());
             let mut stage_ptr = 0usize;
             let mut op_ptr = 0usize;
-            for (l, &target) in op_stages.iter().enumerate() {
-                while stage_ptr < target {
-                    state =
-                        self.advance_conv(stage_ptr, &Alloc::Tiled(&current), &mut op_ptr, state)?;
+            for (op, cells) in coords {
+                while stage_ptr < op_stages[*op] {
+                    state = self.advance_conv(stage_ptr, alloc, &mut op_ptr, state)?;
                     stage_ptr += 1;
                 }
-                for g in 0..current[l].len() {
-                    for (qi, &q) in candidates.iter().enumerate() {
-                        if q == current[l][g] {
-                            continue;
-                        }
-                        if round > 0 && qi.abs_diff(idx_of(current[l][g])) > 1 {
-                            continue;
-                        }
-                        let prev = current[l][g];
-                        current[l][g] = q;
-                        let sc =
-                            self.score_from(&Alloc::Tiled(&current), stage_ptr, op_ptr, &state)?;
-                        evaluations += 1;
-                        let obj = sc.disagreement + gamma * energy(&current);
-                        if obj < best {
-                            best = obj;
-                            best_mse = sc.mse;
-                            best_dis = sc.disagreement;
-                            improved = true;
-                        } else {
-                            current[l][g] = prev;
-                        }
+                for (qi, &q) in candidates.iter().enumerate() {
+                    let prev = alloc[*op][cells.start];
+                    if q == prev || (round > 0 && qi.abs_diff(idx_of(prev)) > 1) {
+                        continue;
+                    }
+                    alloc[*op][cells.clone()].fill(q);
+                    let sc = self.score_from(alloc, stage_ptr, op_ptr, state.clone())?;
+                    evaluations += 1;
+                    let obj = sc.disagreement + cost(alloc);
+                    if obj < best {
+                        best = obj;
+                        score = sc;
+                        improved = true;
+                    } else {
+                        alloc[*op][cells.clone()].fill(prev);
                     }
                 }
             }
+            sweep_objectives.push(best);
             if !improved {
                 break;
             }
         }
-        let latency = current.iter().map(|qs| qs.iter().copied().max().unwrap_or(0)).sum();
-        let total_energy = energy(&current);
-        Ok(TileAllocation {
-            pulses: current,
-            mse: best_mse,
-            disagreement: best_dis,
-            energy: total_energy,
-            latency,
+        Ok(Descent {
+            score,
             objective: best,
+            sweep_objectives,
             evaluations,
         })
     }
 
     /// Per-operator, per-group column-width shares (sum to 1 per op).
     fn group_shares(&self) -> Vec<Vec<f32>> {
-        let mut shares = Vec::new();
-        let mut push = |intr: &IntrinsicOp| {
-            let out = intr.col_group.len().max(1);
-            let mut widths = vec![0usize; intr.groups];
-            for &g in &intr.col_group {
-                widths[g] += 1;
-            }
-            shares.push(widths.iter().map(|&w| w as f32 / out as f32).collect());
-        };
-        for stage in &self.convs {
-            if let Some(m) = &stage.intrinsic {
-                push(m);
-            }
-        }
-        push(&self.fc.intrinsic);
-        shares
+        self.intrinsics()
+            .map(|intr| {
+                let out = intr.col_group.len().max(1);
+                let mut widths = vec![0usize; intr.groups];
+                for &g in &intr.col_group {
+                    widths[g] += 1;
+                }
+                widths.iter().map(|&w| w as f32 / out as f32).collect()
+            })
+            .collect()
     }
 }
 
-/// How one conv layer's operator is realized for the analytic capture.
+/// Outcome of one [`MemseNetwork::descend`] run.
+struct Descent {
+    /// Score of the final allocation.
+    score: MemseScore,
+    /// `disagreement + cost` of the final allocation.
+    objective: f32,
+    /// Objective after each sweep.
+    sweep_objectives: Vec<f32>,
+    /// Allocations scored, the starting one included.
+    evaluations: usize,
+}
+
+/// How one layer's operator is realized for the analytic capture.
 enum LayerPlan<'a> {
+    /// The digital first conv: exact, no read noise.
     Digital(Tensor),
+    /// A deployed crossbar engine.
     Engine(&'a CrossbarLinear),
+    /// Logical weights with uniform absolute read noise `sigma`.
     Functional(Tensor, f32),
 }
 
-/// Digital periphery of every conv layer, shared by both constructors.
+impl LayerPlan<'_> {
+    /// The logical matrix (clean reference), the deployed matrix (the
+    /// operating trajectory) and the read-noise model (`None` when
+    /// digital).
+    fn resolve(self) -> (Tensor, Tensor, Option<IntrinsicOp>) {
+        match self {
+            LayerPlan::Digital(wmat) => (wmat.clone(), wmat, None),
+            LayerPlan::Engine(engine) => (
+                engine.logical_matrix(),
+                engine.effective_matrix(),
+                Some(IntrinsicOp::from_engine(engine)),
+            ),
+            LayerPlan::Functional(wmat, sigma) => {
+                let intrinsic = IntrinsicOp::functional(wmat.shape()[0], sigma);
+                (wmat.clone(), wmat, Some(intrinsic))
+            }
+        }
+    }
+}
+
 /// Propagated walk state between stages. The fused
 /// tanh → quantize → (PLA snap) evaluation is deferred to the
 /// *consuming* operator, because the snap grid depends on the
@@ -1085,25 +924,31 @@ enum WalkState {
     Pre { mean: Tensor, var: Tensor, pool: bool },
 }
 
-struct ConvPeriphery {
-    geoms: Vec<Conv2dGeometry>,
-    out_channels: Vec<usize>,
-    scales: Vec<Tensor>,
-    shifts: Vec<Tensor>,
-    pools: Vec<bool>,
+/// Rejects an allocation that doesn't cover exactly `ops` operators.
+fn check_ops(given: usize, ops: usize) -> Result<()> {
+    if given != ops {
+        return Err(TensorError::InvalidArgument(format!(
+            "{given} pulse allocations for {ops} crossbar operators"
+        ))
+        .into());
+    }
+    Ok(())
 }
 
-/// FC stage inputs for [`MemseNetwork::build`].
-struct FcPlan<'a> {
-    engine: FcKind<'a>,
-    scale: Tensor,
-    shift: Tensor,
-    feature_dim: usize,
-}
-
-enum FcKind<'a> {
-    Engine(&'a CrossbarLinear),
-    Functional(Tensor, f32),
+/// Pulse counts of operator `op`, one per column group.
+fn op_qs(alloc: &[Vec<usize>], op: usize, groups: usize) -> Result<&[usize]> {
+    let qs = &alloc[op];
+    if qs.len() != groups {
+        return Err(TensorError::InvalidArgument(format!(
+            "operator {op} has {groups} column groups, allocation supplies {}",
+            qs.len()
+        ))
+        .into());
+    }
+    if qs.contains(&0) {
+        return Err(TensorError::InvalidArgument("pulse counts must be nonzero".into()).into());
+    }
+    Ok(qs)
 }
 
 /// The activation grid values after the PLA snap at `q` pulses: the
@@ -1278,7 +1123,7 @@ mod tests {
                 let mut rng = Rng::from_seed(11);
                 let mut device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).unwrap();
                 let net = MemseNetwork::from_device(&device, &probe).unwrap();
-                let analytic = f64::from(net.fluctuating_mse(&[q, q, q]).unwrap());
+                let analytic = f64::from(net.score(&[q, q, q]).unwrap().fluct_mse);
                 let (mc, se) = paired_mc(&mut device, &probe, 80, &mut rng);
                 let band = (4.0 * se).max(0.5 * mc);
                 assert!(

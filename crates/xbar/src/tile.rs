@@ -736,7 +736,7 @@ impl Tile {
     }
 
     /// Computes [`TileVarianceStats`] from the always-fresh
-    /// [`WeightCache`] — `O(cells)`, no RNG, safe to call at any point in
+    /// `WeightCache` — `O(cells)`, no RNG, safe to call at any point in
     /// the tile's service life (mutators rebuild the cache eagerly).
     pub fn variance_stats(&self) -> TileVarianceStats {
         let mut col_weight_err_sq = vec![0.0f32; self.cols];

@@ -119,6 +119,10 @@ echo "=== bench_memse smoke (BENCH_memse.json) ==="
 MEMBIT_RESULTS_DIR=target/bench-smoke ./target/release/bench_memse --smoke
 test -s target/bench-smoke/BENCH_memse.json
 
+echo "=== cargo doc (-D warnings) ==="
+# broken, private or ambiguous intra-doc links fail the gate
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "=== cargo clippy (-D warnings) ==="
 cargo clippy --release --workspace --all-targets -- -D warnings
 

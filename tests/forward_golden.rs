@@ -13,8 +13,12 @@
 //! a rail-programmed deployment whose tiles all pass the popcount
 //! verdicts (`packed_ready`); the dense popcount path itself is checked
 //! against the reference oracle in `membit-xbar`'s `proptest_kernels`.
+//!
+//! `golden_memse_planner` pins the analytic planner the same way: the
+//! pulse maps and evaluation counts of `MemseNetwork::analytic_search`
+//! and `tile_allocation`, plus a digest of every score bit they report.
 
-use membit_core::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg};
+use membit_core::{DeploymentPolicy, DeviceEvalConfig, DeviceVgg, MemseNetwork};
 use membit_nn::{Params, Vgg, VggConfig};
 use membit_tensor::{Rng, Tensor};
 use membit_xbar::{ExecutionStats, GuardPolicy, RecoveryPolicy, XbarConfig};
@@ -192,5 +196,74 @@ fn golden_saf_corrected_cached() {
         "SAF-corrected digests moved: {:#018x} {:#018x}",
         digest.logits,
         digest.stats
+    );
+}
+
+#[test]
+fn golden_memse_planner() {
+    // 32×8 tiles: every crossbar operator has several column groups, so
+    // the per-tile allocation moves individual cells
+    let mut rng = Rng::from_seed(59);
+    let mut params = Params::new();
+    let vgg = Vgg::new(&VggConfig::tiny(), &mut params, &mut rng).expect("vgg");
+    let cfg = DeviceEvalConfig {
+        xbar: XbarConfig {
+            tile_rows: 32,
+            tile_cols: 8,
+            ..XbarConfig::functional(0.4)
+        },
+        pulses: vec![8, 8, 8],
+        act_levels: 9,
+        policy: DeploymentPolicy::default(),
+    };
+    let device = DeviceVgg::deploy(&vgg, &params, &cfg, &mut rng).expect("deploy");
+    let probe = images(2, &mut rng);
+    let net = MemseNetwork::from_device(&device, &probe).expect("capture");
+    let candidates = [4, 8, 12, 16];
+    let mut bits = FNV_OFFSET;
+    let mut feed = |values: &[f32]| {
+        for v in values {
+            Digest::feed(&mut bits, &v.to_bits().to_le_bytes());
+        }
+    };
+    let mut plans = Vec::new();
+    for gamma in [1e-4f32, 1e-3] {
+        let sel = net.analytic_search(&candidates, gamma).expect("search");
+        let tiled = net.tile_allocation(&candidates, gamma).expect("tiles");
+        feed(&[sel.objective, sel.mse, sel.disagreement]);
+        feed(&sel.sweep_objectives);
+        feed(&[tiled.objective, tiled.mse, tiled.disagreement, tiled.energy]);
+        plans.push((sel.pulses, sel.evaluations, tiled.pulses, tiled.evaluations));
+    }
+    let functional = MemseNetwork::from_vgg(&vgg, &params, &probe, &[0.05; 3])
+        .expect("functional capture")
+        .score(&[4, 12, 8])
+        .expect("score");
+    feed(&[
+        functional.mse,
+        functional.fluct_mse,
+        functional.disagreement,
+    ]);
+    assert_eq!(
+        plans,
+        vec![
+            (
+                vec![16, 4, 8],
+                17,
+                vec![vec![16], vec![4, 4], vec![8, 8, 8, 4]],
+                50
+            ),
+            (
+                vec![8, 4, 8],
+                18,
+                vec![vec![8], vec![4, 4], vec![8, 8, 4, 4]],
+                52
+            ),
+        ],
+        "planner selections moved"
+    );
+    assert_eq!(
+        bits, 0xd49f_2244_8070_7e2f,
+        "planner score bits moved: {bits:#018x}"
     );
 }
